@@ -6,12 +6,16 @@ not move the argmin):
     F(theta) = ||Y - X theta||^2 / (2 n sigma2) + mu1 sum_j w_j |theta_j|,
 
 with the empirical column weights w_j = sqrt((1/n) sum_i x_ij^2). The solver
-is plain ISTA with the exact Lipschitz step 1/L, L = lambda_max(X^T X) /
-(n sigma2) obtained by power iteration, which makes every iteration a descent
-step; FISTA is available behind a flag but disabled by default because it
-gives up monotonicity. Optimality is certified by the subgradient (KKT)
-residual, so "converged" is a checkable statement about the returned point
-rather than about step sizes.
+is plain ISTA from theta = 0 with step 1/L, where L estimates
+lambda_max(X^T X) / (n sigma2) by at most 100 power-iteration steps and is
+inflated by a relative headroom of 1e-6. The power iteration can stop short
+of lambda_max and underestimate it by more than that headroom, so a step is
+not guaranteed to descend; ``objective_trace`` records every iterate's value
+so descent can be checked. When theta = 0 already meets the KKT conditions
+ISTA returns it without estimating L. FISTA is available behind a flag
+but disabled by default because it gives up monotonicity. Optimality is
+certified by the subgradient (KKT) residual, so "converged" is a checkable
+statement about the returned point rather than about step sizes.
 """
 
 from dataclasses import dataclass, field
@@ -67,9 +71,12 @@ class SolveReport:
     """Solver output with its optimality certificate.
 
     ``converged`` is True iff ``kkt_residual <= tol`` was reached within the
-    iteration budget. ``objective_trace`` holds the objective at the start of
-    every iteration plus the final value; with the default (non-accelerated)
-    solver it is non-increasing.
+    iteration budget. With the default (non-accelerated) solver,
+    ``objective_trace`` holds the objective at the start of every iteration
+    plus the final value: two equal entries when theta = 0 is returned after
+    0 iterations. It is non-increasing whenever the estimated step is at most
+    1/lambda_max (see the module docstring). The accelerated solver records
+    only the final value.
     """
 
     theta_hat: np.ndarray
@@ -94,11 +101,23 @@ def soft_threshold(x, t):
     """sign(x) * max(|x| - t, 0); elementwise on arrays."""
     if np.any(np.asarray(t) < 0.0):
         raise ValueError("threshold must be non-negative")
+    return _shrink(x, t)
+
+
+def _shrink(x, t):
+    """soft_threshold without the check on t; the solvers' levels are >= 0."""
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 def _gradient(prob: LassoProblem, theta: np.ndarray) -> np.ndarray:
     return -(prob.X.T @ (prob.Y - prob.X @ theta)) / (prob.n * prob.sigma2)
+
+
+def _kkt(theta: np.ndarray, g: np.ndarray, level: np.ndarray) -> float:
+    active = theta != 0.0
+    res_active = np.abs(g + level * np.sign(theta))
+    res_zero = np.maximum(np.abs(g) - level, 0.0)
+    return float(np.max(np.where(active, res_active, res_zero)))
 
 
 def kkt_residual(prob: LassoProblem, theta: np.ndarray) -> float:
@@ -110,16 +129,11 @@ def kkt_residual(prob: LassoProblem, theta: np.ndarray) -> float:
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape[0] != prob.p:
         raise ValueError(f"theta has {theta.shape[0]} entries, expected {prob.p}")
-    g = _gradient(prob, theta)
-    level = prob.coeffs.mu1 * prob.w
-    active = theta != 0.0
-    res_active = np.abs(g + level * np.sign(theta))
-    res_zero = np.maximum(np.abs(g) - level, 0.0)
-    return float(np.max(np.where(active, res_active, res_zero)))
+    return _kkt(theta, _gradient(prob, theta), prob.coeffs.mu1 * prob.w)
 
 
 def _lipschitz(prob: LassoProblem) -> float:
-    """Largest eigenvalue of X^T X / (n sigma2) by power iteration."""
+    """Power-iteration estimate of lambda_max(X^T X) / (n sigma2)."""
     rng = np.random.default_rng(0)  # fixed: the estimate is deterministic
     v = rng.standard_normal(prob.p)
     v /= np.linalg.norm(v)
@@ -142,6 +156,10 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, accelerate: bool = False) -> SolveReport:
     """Minimize the objective from theta = 0 until the KKT residual <= tol.
 
+    Without ``accelerate``, the gradient at theta = 0 is computed first; if
+    theta = 0 already meets the KKT conditions it is returned after 0
+    iterations and the step size is never estimated. Otherwise the step is
+    estimated once and that gradient serves as the first iteration's.
     Non-convergence within ``max_iter`` is reported via the ``converged``
     flag, not raised.
     """
@@ -149,38 +167,59 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    L = _lipschitz(prob) * (1.0 + _STEP_HEADROOM)
-    step = 1.0 / L
-    level = step * prob.coeffs.mu1 * prob.w
+    if accelerate:
+        return _solve_fista(prob, tol, max_iter)
+    X, Y, w = prob.X, prob.Y, prob.w
+    mu1 = prob.coeffs.mu1
     scale = prob.n * prob.sigma2
-
+    kkt_level = mu1 * w
+    step = level = None
     theta = np.zeros(prob.p)
-    momentum = theta
-    t_acc = 1.0
     trace = []
-    kkt = np.inf
     iterations = 0
-    for iterations in range(max_iter):
-        point = momentum if accelerate else theta
-        resid = prob.Y - prob.X @ point
-        g = -(prob.X.T @ resid) / scale
-        if not accelerate:
-            trace.append(float(resid @ resid) / (2.0 * scale)
-                         + prob.coeffs.mu1 * weighted_l1(point, prob.w))
-        kkt = _kkt_from_gradient(prob, point, g) if not accelerate \
-            else kkt_residual(prob, theta)
+    # Each expression keeps its association order, e.g. (step * mu1) * w:
+    # the iterates are pinned bit for bit (TestFastPathOracle).
+    while True:
+        resid = Y - X @ theta
+        g = -(X.T @ resid) / scale
+        kkt = _kkt(theta, g, kkt_level)
+        if iterations == max_iter:
+            break
+        trace.append(float(resid @ resid) / (2.0 * scale)
+                     + mu1 * float(np.sum(w * np.abs(theta))))
         if kkt <= tol:
             break
-        theta_next = soft_threshold(point - step * g, level)
-        if accelerate:
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2)) / 2.0
-            momentum = theta_next + ((t_acc - 1.0) / t_next) * (theta_next - theta)
-            t_acc = t_next
+        if step is None:
+            step = 1.0 / (_lipschitz(prob) * (1.0 + _STEP_HEADROOM))
+            level = step * mu1 * w
+        theta = _shrink(theta - step * g, level)
+        iterations += 1
+    return _report(prob, theta, iterations, kkt, tol, trace)
+
+
+def _solve_fista(prob: LassoProblem, tol: float, max_iter: int) -> SolveReport:
+    """FISTA (Beck & Teboulle 2009) from theta = 0; not monotone."""
+    step = 1.0 / (_lipschitz(prob) * (1.0 + _STEP_HEADROOM))
+    level = step * prob.coeffs.mu1 * prob.w
+    theta = momentum = np.zeros(prob.p)
+    t_acc = 1.0
+    iterations = 0
+    for iterations in range(max_iter):
+        g = _gradient(prob, momentum)
+        if kkt_residual(prob, theta) <= tol:
+            break
+        theta_next = _shrink(momentum - step * g, level)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2)) / 2.0
+        momentum = theta_next + ((t_acc - 1.0) / t_next) * (theta_next - theta)
+        t_acc = t_next
         theta = theta_next
     else:
         iterations = max_iter
+    return _report(prob, theta, iterations, kkt_residual(prob, theta), tol, [])
 
-    kkt = kkt_residual(prob, theta)
+
+def _report(prob: LassoProblem, theta: np.ndarray, iterations: int,
+            kkt: float, tol: float, trace: list) -> SolveReport:
     obj = objective(prob, theta)
     trace.append(obj)
     return SolveReport(
@@ -191,12 +230,3 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
         converged=kkt <= tol,
         objective_trace=np.asarray(trace),
     )
-
-
-def _kkt_from_gradient(prob: LassoProblem, theta: np.ndarray,
-                       g: np.ndarray) -> float:
-    level = prob.coeffs.mu1 * prob.w
-    active = theta != 0.0
-    res_active = np.abs(g + level * np.sign(theta))
-    res_zero = np.maximum(np.abs(g) - level, 0.0)
-    return float(np.max(np.where(active, res_active, res_zero)))

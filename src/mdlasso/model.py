@@ -48,8 +48,11 @@ class GaussianLinearModel:
 
     Immutable after construction. ``sqrt_cov`` (the symmetric square root of
     the feature covariance) is cached at construction because every
-    divergence evaluation needs it; for an identity covariance the
-    eigendecomposition is skipped.
+    divergence evaluation needs it. For an identity covariance
+    (``identity_cov``) the symmetry check and the eigendecomposition are
+    skipped, and the divergences use tb in place of cov @ tb. The two are
+    numerically equal; only the sign of a zero entry may differ (I @ tb
+    turns -0.0 into +0.0).
     """
 
     theta_star: np.ndarray
@@ -64,17 +67,23 @@ class GaussianLinearModel:
             raise ValueError("theta_star must be non-empty")
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        cov = check_symmetric(self.cov, "feature covariance")
-        if cov.shape[0] != theta.size:
-            raise ValueError(
-                f"covariance is {cov.shape[0]}x{cov.shape[0]} but "
-                f"theta_star has length {theta.size}")
-        identity = bool(np.array_equal(cov, np.eye(theta.size)))
-        root = cov if identity else sqrt_sym(cov)
+        cov = np.asarray(self.cov, dtype=np.float64)
+        eye = np.eye(theta.size)
+        identity = bool(np.array_equal(cov, eye))  # exactly symmetric already
+        if not identity:
+            cov = check_symmetric(cov, "feature covariance")
+            if cov.shape[0] != theta.size:
+                raise ValueError(
+                    f"covariance is {cov.shape[0]}x{cov.shape[0]} but "
+                    f"theta_star has length {theta.size}")
+            # an asymmetry within tolerance can symmetrize to exactly I
+            identity = bool(np.array_equal(cov, eye))
+        cov = _readonly(cov)
+        root = cov if identity else _readonly(sqrt_sym(cov))
         object.__setattr__(self, "theta_star", _readonly(theta))
         object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "cov", _readonly(cov))
-        object.__setattr__(self, "sqrt_cov", _readonly(root))
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "sqrt_cov", root)
         object.__setattr__(self, "identity_cov", identity)
 
     @property
@@ -133,10 +142,16 @@ def _displacement(model: GaussianLinearModel, theta: np.ndarray) -> np.ndarray:
     return theta - model.theta_star
 
 
+def _times_cov(model: GaussianLinearModel, v: np.ndarray,
+               matrix: np.ndarray) -> np.ndarray:
+    """matrix @ v for matrix cov or sqrt_cov; v itself when both are I."""
+    return v if model.identity_cov else matrix @ v
+
+
 def displacement_energy(model: GaussianLinearModel, theta: np.ndarray) -> float:
     """(theta - theta_star)^T cov (theta - theta_star), i.e. ||whitened displacement||^2."""
     tb = _displacement(model, theta)
-    return float(tb @ (model.cov @ tb))
+    return float(tb @ _times_cov(model, tb, model.cov))
 
 
 def tilted(model: GaussianLinearModel, theta: np.ndarray,
@@ -145,9 +160,9 @@ def tilted(model: GaussianLinearModel, theta: np.ndarray,
     lam = order.lam
     c = tilt_scale(model, order)
     tb = _displacement(model, theta)
-    tbp = model.sqrt_cov @ tb
+    tbp = _times_cov(model, tb, model.sqrt_cov)
     t = float(tbp @ tbp)
-    u = model.cov @ tb
+    u = _times_cov(model, tb, model.cov)
     cov_tilted = model.cov - np.outer(u, u) / (c + t)
     return TiltedGaussian(
         scale=c,
@@ -180,7 +195,7 @@ def renyi_grad(model: GaussianLinearModel, theta: np.ndarray,
     lam = order.lam
     c = tilt_scale(model, order)
     tb = _displacement(model, theta)
-    u = model.cov @ tb
+    u = _times_cov(model, tb, model.cov)
     t = float(tb @ u)
     return (lam / model.sigma2) * (c / (c + t)) * u
 
@@ -195,7 +210,7 @@ def renyi_hess(model: GaussianLinearModel, theta: np.ndarray,
     lam = order.lam
     c = tilt_scale(model, order)
     tb = _displacement(model, theta)
-    u = model.cov @ tb
+    u = _times_cov(model, tb, model.cov)
     t = float(tb @ u)
     a = (lam / model.sigma2) * (c / (c + t))
     b = (2.0 * lam / model.sigma2) * (c / (c + t) ** 2)

@@ -124,7 +124,10 @@ class ExperimentConfig:
         if self.snr is not None:
             return float(self.snr)
         theta = self.resolved_theta_star()
-        energy = float(theta @ (self.resolved_cov() @ theta))
+        if self.cov is None:  # eye(p) @ theta == theta: skip the p x p work
+            energy = float(theta @ theta)
+        else:
+            energy = float(theta @ (self.resolved_cov() @ theta))
         return energy / self.resolved_sigma2()
 
     def build_model(self) -> GaussianLinearModel:

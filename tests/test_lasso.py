@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mdlasso import lasso
 from mdlasso.lasso import (LassoProblem, kkt_residual, objective,
                            soft_threshold, solve)
-from mdlasso.penalty import PenaltyCoefficients
+from mdlasso.model import DivergenceOrder
+from mdlasso.penalty import PenaltyCoefficients, min_coefficients, weighted_l1
 
 
 def scalar_problem(mu1=0.3, target=0.9, n=4):
@@ -24,6 +26,64 @@ def orthonormal_problem(rng, n=60, p=12, mu1=0.4):
     theta_star[:4] = 1.0
     Y = X @ theta_star + rng.standard_normal(n)
     return LassoProblem(X, Y, 1.0, PenaltyCoefficients(mu1, 0.01)), theta_star
+
+
+def snr_problem(seed, n, p, snr, sparsity=5):
+    # the simulation protocol's problem at a small size: unit-magnitude
+    # k-sparse truth, sigma2 from the SNR, minimal penalty coefficients
+    rng = np.random.default_rng(seed)
+    theta_star = np.zeros(p)
+    theta_star[:min(sparsity, p)] = 1.0
+    sigma2 = float(theta_star @ theta_star) / snr
+    X = rng.standard_normal((n, p))
+    Y = X @ theta_star + math.sqrt(sigma2) * rng.standard_normal(n)
+    coeffs = min_coefficients(n, p, DivergenceOrder(0.5), 0.5, 0.5, sigma2)
+    return LassoProblem(X, Y, sigma2, coeffs)
+
+
+def reference_ista(prob, tol=lasso.DEFAULT_TOL, max_iter=lasso.DEFAULT_MAX_ITER):
+    """The ISTA loop as it stood before the zero-solution exit, verbatim."""
+    def _kkt_from_gradient(prob, theta, g):
+        level = prob.coeffs.mu1 * prob.w
+        active = theta != 0.0
+        res_active = np.abs(g + level * np.sign(theta))
+        res_zero = np.maximum(np.abs(g) - level, 0.0)
+        return float(np.max(np.where(active, res_active, res_zero)))
+
+    def _soft_threshold(x, t):
+        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+    def _kkt_residual(prob, theta):
+        g = -(prob.X.T @ (prob.Y - prob.X @ theta)) / (prob.n * prob.sigma2)
+        return _kkt_from_gradient(prob, theta, g)
+
+    L = lasso._lipschitz(prob) * (1.0 + lasso._STEP_HEADROOM)
+    step = 1.0 / L
+    level = step * prob.coeffs.mu1 * prob.w
+    scale = prob.n * prob.sigma2
+
+    theta = np.zeros(prob.p)
+    trace = []
+    kkt = np.inf
+    iterations = 0
+    for iterations in range(max_iter):
+        point = theta
+        resid = prob.Y - prob.X @ point
+        g = -(prob.X.T @ resid) / scale
+        trace.append(float(resid @ resid) / (2.0 * scale)
+                     + prob.coeffs.mu1 * weighted_l1(point, prob.w))
+        kkt = _kkt_from_gradient(prob, point, g)
+        if kkt <= tol:
+            break
+        theta_next = _soft_threshold(point - step * g, level)
+        theta = theta_next
+    else:
+        iterations = max_iter
+
+    kkt = _kkt_residual(prob, theta)
+    obj = objective(prob, theta)
+    trace.append(obj)
+    return theta, iterations, np.asarray(trace), kkt, obj
 
 
 class TestProblemConstruction:
@@ -180,3 +240,64 @@ class TestKktResidual:
         rng = np.random.default_rng(59)
         prob, theta_star = orthonormal_problem(rng)
         assert kkt_residual(prob, theta_star + 1.0) > 0.0
+
+
+class TestFastPathOracle:
+    """solve() reproduces the reference ISTA loop bit for bit."""
+
+    @pytest.mark.parametrize("n,p", [(40, 120), (60, 200), (30, 1)])
+    @pytest.mark.parametrize("snr", [0.5, 1.5, 10.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical(self, n, p, snr, seed):
+        prob = snr_problem(seed, n, p, snr)
+        theta, iterations, trace, kkt, obj = reference_ista(prob)
+        report = solve(prob)
+        assert report.theta_hat.tobytes() == theta.tobytes()
+        assert report.iterations == iterations
+        assert report.objective_trace.tobytes() == trace.tobytes()
+        assert report.kkt_residual == kkt
+        assert report.objective_value == obj
+        assert report.converged
+
+    def test_bit_identical_when_budget_runs_out(self):
+        prob = snr_problem(1, 60, 200, 10.0)
+        theta, iterations, trace, kkt, _ = reference_ista(prob, max_iter=7)
+        report = solve(prob, max_iter=7)
+        assert iterations == report.iterations == 7
+        assert not report.converged
+        assert report.theta_hat.tobytes() == theta.tobytes()
+        assert report.objective_trace.tobytes() == trace.tobytes()
+        assert report.kkt_residual == kkt
+
+    def test_sweep_covers_both_exits(self):
+        iterations = [solve(snr_problem(seed, 60, 200, 1.5)).iterations
+                      for seed in range(3)]
+        assert min(iterations) == 0 < max(iterations)
+
+
+class TestZeroSolutionExit:
+    def test_null_snr_skips_step_estimate(self, monkeypatch):
+        prob = snr_problem(0, 60, 200, 0.5)
+
+        def no_step(_prob):
+            raise AssertionError("step size estimated for a zero solution")
+
+        monkeypatch.setattr(lasso, "_lipschitz", no_step)
+        report = solve(prob)
+        assert report.iterations == 0
+        assert report.converged
+        np.testing.assert_array_equal(report.theta_hat, 0.0)
+        assert report.objective_trace.tolist() == [report.objective_value] * 2
+
+    def test_step_estimated_once_otherwise(self, monkeypatch):
+        prob = snr_problem(0, 60, 200, 10.0)
+        calls = []
+        original = lasso._lipschitz
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(lasso, "_lipschitz", counted)
+        assert solve(prob).iterations > 0
+        assert len(calls) == 1

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from mdlasso import model as model_module
 from mdlasso.errors import InvalidOrderError
 from mdlasso.matops import sherman_morrison
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
@@ -75,6 +76,62 @@ class TestModelConstruction:
         m = GaussianLinearModel(np.zeros(2), 1.0, np.eye(2))
         with pytest.raises(ValueError):
             m.cov[0, 0] = 2.0
+
+
+class TestIdentityCovariance:
+    def test_identity_skips_symmetry_check(self, monkeypatch):
+        def no_check(*_args):
+            raise AssertionError("symmetry checked for the identity")
+
+        monkeypatch.setattr(model_module, "check_symmetric", no_check)
+        m = GaussianLinearModel(np.ones(4), 1.0, np.eye(4, dtype=int))
+        assert m.identity_cov
+        assert m.cov.dtype == np.float64
+        assert np.array_equal(m.cov, np.eye(4))
+        assert np.array_equal(m.sqrt_cov, np.eye(4))
+
+    def test_non_symmetric_still_rejected(self):
+        cov = np.eye(3)
+        cov[0, 1] = 0.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianLinearModel(np.ones(3), 1.0, cov)
+
+    def test_asymmetry_within_tolerance_symmetrizes_to_identity(self):
+        cov = np.eye(2)
+        cov[0, 1], cov[1, 0] = 1e-14, -1e-14
+        m = GaussianLinearModel(np.ones(2), 1.0, cov)
+        assert m.identity_cov
+        assert np.array_equal(m.cov, np.eye(2))
+
+    def test_non_identity_flagged(self):
+        m = GaussianLinearModel(np.ones(2), 1.0, np.diag([1.0, 2.0]))
+        assert not m.identity_cov
+
+    def test_divergences_match_dense_identity(self):
+        # The solver's soft-threshold leaves -0.0 entries, which the dense
+        # I @ tb turns into +0.0: values agree, the sign of zero may not.
+        rng = np.random.default_rng(21)
+        p = 50
+        theta_star = np.zeros(p)
+        theta_star[:5] = 1.0
+        m = GaussianLinearModel(theta_star, 0.7, np.eye(p))
+        order = DivergenceOrder(0.5)
+        eye = np.eye(p)
+        for _ in range(5):
+            x = rng.standard_normal(p)
+            theta = np.sign(x) * np.maximum(np.abs(x) - 0.8, 0.0)
+            tb = theta - theta_star
+            assert np.any((tb == 0.0) & np.signbit(tb))
+            u = eye @ tb
+            t = float(tb @ u)
+            assert displacement_energy(m, theta) == float(tb @ (eye @ tb))
+            c = tilt_scale(m, order)
+            want = (order.lam / m.sigma2) * (c / (c + t)) * u
+            assert np.array_equal(renyi_grad(m, theta, order), want)
+            tq = tilted(m, theta, order)
+            assert np.array_equal(tq.displacement, u)
+            want_cov = eye - np.outer(u, u) / (c + t)
+            assert np.array_equal(tq.covariance, want_cov)
 
 
 class TestTilted:

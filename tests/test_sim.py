@@ -116,6 +116,25 @@ class TestRunTrial:
 
 
 class TestRunExperiment:
+    def test_snr_from_sigma2_identity_bit_identical(self, monkeypatch):
+        for p in (1, 7, 20, 1000):
+            cfg = ExperimentConfig(n=50, p=p, seed=0, sigma2=3.0, eps=0.9,
+                                   tau=0.2, sparsity=min(p, 5), magnitude=0.7)
+            theta = cfg.resolved_theta_star()
+            want = float(theta @ (np.eye(p) @ theta)) / 3.0
+            assert cfg.resolved_snr().hex() == want.hex()
+        cfg = ExperimentConfig(seed=5, sigma2=3.0, num_trials=3, **SMALL)
+        want = cfg.resolved_snr()
+
+        def no_dense(_self):
+            raise AssertionError("dense identity built to resolve the SNR")
+
+        monkeypatch.setattr(ExperimentConfig, "resolved_cov", no_dense)
+        assert cfg.resolved_snr() == want
+        monkeypatch.undo()
+        records, _ = run_experiment(cfg)
+        assert [rec.snr for rec in records] == [want] * 3
+
     def test_hellinger_chain_every_record(self):
         cfg = ExperimentConfig(seed=13, snr=1.5, num_trials=50, **SMALL)
         records, summary = run_experiment(cfg)
