@@ -7,6 +7,9 @@ prob-curve  --n --p --tau --beta --eps-min --eps-max --steps --out <csv>
 bounds      --config <path>               print one trial's regret certificate
 verify      [--quick]                     run the library's invariant suite
 
+``bounds`` reads its config exactly as ``simulate`` does and prints trial 0
+of that experiment: the same draw, solve and certificate as CSV row 0.
+
 Config documents are one ``key = value`` per line with ``#`` comments. The
 closed key set is ``CONFIG_KEYS`` (n, p, snr, sigma2, seed, num_trials,
 lambda, beta, eps, tau, sparsity, magnitude). Unknown keys, type mismatches,
@@ -24,14 +27,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import regret_certificate
 from .errors import ConfigError, MdlassoError
-from .lasso import LassoProblem, solve
 from .penalty import min_coefficients
-from .seeding import substream
-from .sim import (ExperimentConfig, ProbCurvePoint, TrialRecord, prob_curve,
-                  run_experiment)
-from .typical_set import is_typical
+from .sim import (DEFAULT_SPARSITY, ExperimentConfig, ProbCurvePoint,
+                  TrialRecord, prob_curve, run_experiment, run_trial)
 
 _ENV_SEED = "MDLASSO_SEED"
 
@@ -100,31 +99,25 @@ def _build_config(values: dict) -> ExperimentConfig:
     if "seed" not in values:
         raise ConfigError("no seed: provide the 'seed' key, --seed, "
                           f"or the {_ENV_SEED} environment variable")
+    kwargs = {("lam" if key == "lambda" else key): value
+              for key, value in values.items()}
+    kwargs.setdefault("sparsity", min(DEFAULT_SPARSITY, values["p"]))
     try:
-        return ExperimentConfig(
-            n=values["n"],
-            p=values["p"],
-            seed=values["seed"],
-            snr=values.get("snr"),
-            sigma2=values.get("sigma2"),
-            num_trials=values.get("num_trials", 100),
-            lam=values.get("lambda", 0.5),
-            beta=values.get("beta", 0.5),
-            eps=values.get("eps", 0.5),
-            tau=values.get("tau", 0.03),
-            sparsity=values.get("sparsity", min(10, values["p"])),
-            magnitude=values.get("magnitude", 1.0),
-        )
+        return ExperimentConfig(**kwargs)
     except (ValueError, MdlassoError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config document."""
+def _parse_lines(text: str) -> dict:
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         _parse_kv_line(lineno, raw, values)
-    return _build_config(values)
+    return values
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and fully validate a config document."""
+    return _build_config(_parse_lines(text))
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -133,9 +126,7 @@ def _load_config(args) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        _parse_kv_line(lineno, raw, values)
+    values = _parse_lines(text)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -219,28 +210,23 @@ def _cmd_prob_curve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    model = cfg.build_model()
-    bc = cfg.bound_config()
-    sigma2 = model.sigma2
-    rng = substream(cfg.seed, 0)
-    X = model.draw_features(rng, cfg.n)
-    Y = model.draw_response(rng, X)
-    coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps, sigma2)
-    prob = LassoProblem(X, Y, sigma2, coeffs)
-    report = solve(prob)
-    cert = regret_certificate(prob, model, bc, theta_hat=report.theta_hat)
+    rec = run_trial(cfg, 0)
+    report, cert = rec.report, rec.certificate
+    bc = cert.config
+    coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps,
+                              rec.sigma2)
     items = [
         ("n", cfg.n), ("p", cfg.p),
         ("lambda", bc.order.lam), ("beta", bc.beta),
         ("eps", bc.eps), ("tau", bc.tau),
-        ("snr", cfg.resolved_snr()), ("sigma2", sigma2),
+        ("snr", rec.snr), ("sigma2", rec.sigma2),
         ("mu1", coeffs.mu1), ("mu2", coeffs.mu2),
         ("main_term", cert.main_term), ("regret_bound", cert.bound),
         ("probability_floor", cert.probability_floor),
         ("simplified_floor", cert.simplified_floor),
         ("kappa", cert.kappa),
         ("vacuous", str(cert.vacuous).lower()),
-        ("typical", str(is_typical(X, model.cov, bc.eps)).lower()),
+        ("typical", str(rec.typical).lower()),
         ("solver_converged", str(report.converged).lower()),
         ("solver_iterations", report.iterations),
         ("kkt_residual", report.kkt_residual),

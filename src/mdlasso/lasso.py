@@ -12,10 +12,9 @@ inflated by a relative headroom of 1e-6. The power iteration can stop short
 of lambda_max and underestimate it by more than that headroom, so a step is
 not guaranteed to descend; ``objective_trace`` records every iterate's value
 so descent can be checked. When theta = 0 already meets the KKT conditions
-ISTA returns it without estimating L. FISTA is available behind a flag
-but disabled by default because it gives up monotonicity. Optimality is
-certified by the subgradient (KKT) residual, so "converged" is a checkable
-statement about the returned point rather than about step sizes.
+ISTA returns it without estimating L. Optimality is certified by the
+subgradient (KKT) residual, so "converged" is a checkable statement about
+the returned point rather than about step sizes.
 """
 
 from dataclasses import dataclass, field
@@ -71,12 +70,10 @@ class SolveReport:
     """Solver output with its optimality certificate.
 
     ``converged`` is True iff ``kkt_residual <= tol`` was reached within the
-    iteration budget. With the default (non-accelerated) solver,
-    ``objective_trace`` holds the objective at the start of every iteration
-    plus the final value: two equal entries when theta = 0 is returned after
-    0 iterations. It is non-increasing whenever the estimated step is at most
-    1/lambda_max (see the module docstring). The accelerated solver records
-    only the final value.
+    iteration budget. ``objective_trace`` holds the objective at the start
+    of every iteration plus the final value: two equal entries when
+    theta = 0 is returned after 0 iterations. It is non-increasing whenever
+    the estimated step is at most 1/lambda_max (see the module docstring).
     """
 
     theta_hat: np.ndarray
@@ -105,12 +102,8 @@ def soft_threshold(x, t):
 
 
 def _shrink(x, t):
-    """soft_threshold without the check on t; the solvers' levels are >= 0."""
+    """soft_threshold without the check on t; the solver's level is >= 0."""
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
-def _gradient(prob: LassoProblem, theta: np.ndarray) -> np.ndarray:
-    return -(prob.X.T @ (prob.Y - prob.X @ theta)) / (prob.n * prob.sigma2)
 
 
 def _kkt(theta: np.ndarray, g: np.ndarray, level: np.ndarray) -> float:
@@ -129,7 +122,8 @@ def kkt_residual(prob: LassoProblem, theta: np.ndarray) -> float:
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape[0] != prob.p:
         raise ValueError(f"theta has {theta.shape[0]} entries, expected {prob.p}")
-    return _kkt(theta, _gradient(prob, theta), prob.coeffs.mu1 * prob.w)
+    g = -(prob.X.T @ (prob.Y - prob.X @ theta)) / (prob.n * prob.sigma2)
+    return _kkt(theta, g, prob.coeffs.mu1 * prob.w)
 
 
 def _lipschitz(prob: LassoProblem) -> float:
@@ -153,13 +147,13 @@ def _lipschitz(prob: LassoProblem) -> float:
 
 
 def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, accelerate: bool = False) -> SolveReport:
+          max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
     """Minimize the objective from theta = 0 until the KKT residual <= tol.
 
-    Without ``accelerate``, the gradient at theta = 0 is computed first; if
-    theta = 0 already meets the KKT conditions it is returned after 0
-    iterations and the step size is never estimated. Otherwise the step is
-    estimated once and that gradient serves as the first iteration's.
+    The gradient at theta = 0 is computed first; if theta = 0 already meets
+    the KKT conditions it is returned after 0 iterations and the step size
+    is never estimated. Otherwise the step is estimated once and that
+    gradient serves as the first iteration's.
     Non-convergence within ``max_iter`` is reported via the ``converged``
     flag, not raised.
     """
@@ -167,8 +161,6 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if accelerate:
-        return _solve_fista(prob, tol, max_iter)
     X, Y, w = prob.X, prob.Y, prob.w
     mu1 = prob.coeffs.mu1
     scale = prob.n * prob.sigma2
@@ -194,32 +186,6 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
             level = step * mu1 * w
         theta = _shrink(theta - step * g, level)
         iterations += 1
-    return _report(prob, theta, iterations, kkt, tol, trace)
-
-
-def _solve_fista(prob: LassoProblem, tol: float, max_iter: int) -> SolveReport:
-    """FISTA (Beck & Teboulle 2009) from theta = 0; not monotone."""
-    step = 1.0 / (_lipschitz(prob) * (1.0 + _STEP_HEADROOM))
-    level = step * prob.coeffs.mu1 * prob.w
-    theta = momentum = np.zeros(prob.p)
-    t_acc = 1.0
-    iterations = 0
-    for iterations in range(max_iter):
-        g = _gradient(prob, momentum)
-        if kkt_residual(prob, theta) <= tol:
-            break
-        theta_next = _shrink(momentum - step * g, level)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2)) / 2.0
-        momentum = theta_next + ((t_acc - 1.0) / t_next) * (theta_next - theta)
-        t_acc = t_next
-        theta = theta_next
-    else:
-        iterations = max_iter
-    return _report(prob, theta, iterations, kkt_residual(prob, theta), tol, [])
-
-
-def _report(prob: LassoProblem, theta: np.ndarray, iterations: int,
-            kkt: float, tol: float, trace: list) -> SolveReport:
     obj = objective(prob, theta)
     trace.append(obj)
     return SolveReport(

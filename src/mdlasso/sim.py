@@ -14,14 +14,14 @@ records are bit-identical regardless of evaluation order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundConfig, regret_certificate
+from .bounds import BoundConfig, RegretCertificate, regret_certificate
 from .divergences import bhattacharyya, hellinger_sq
-from .lasso import LassoProblem, solve
+from .lasso import LassoProblem, SolveReport, solve
 from .model import DivergenceOrder, GaussianLinearModel
 from .penalty import min_coefficients
 from .seeding import substream
@@ -37,7 +37,10 @@ def snr_to_sigma2(theta_star: np.ndarray, cov: np.ndarray, snr: float) -> float:
         raise ValueError(f"snr must be positive, got {snr}")
     theta_star = np.asarray(theta_star, dtype=np.float64).reshape(-1)
     cov = np.asarray(cov, dtype=np.float64)
-    energy = float(theta_star @ (cov @ theta_star))
+    return _energy_to_sigma2(float(theta_star @ (cov @ theta_star)), snr)
+
+
+def _energy_to_sigma2(energy: float, snr: float) -> float:
     if energy <= 0.0:
         raise ValueError("theta_star must be non-zero to target an SNR")
     return energy / snr
@@ -114,21 +117,22 @@ class ExperimentConfig:
             return np.eye(self.p)
         return np.asarray(self.cov, dtype=np.float64)
 
+    def _signal_energy(self) -> float:
+        """theta_star^T cov theta_star, the numerator of the SNR."""
+        theta = self.resolved_theta_star()
+        if self.cov is None:  # eye(p) @ theta == theta: skip the p x p work
+            return float(theta @ theta)
+        return float(theta @ (self.resolved_cov() @ theta))
+
     def resolved_sigma2(self) -> float:
         if self.sigma2 is not None:
             return float(self.sigma2)
-        return snr_to_sigma2(self.resolved_theta_star(), self.resolved_cov(),
-                             self.snr)
+        return _energy_to_sigma2(self._signal_energy(), self.snr)
 
     def resolved_snr(self) -> float:
         if self.snr is not None:
             return float(self.snr)
-        theta = self.resolved_theta_star()
-        if self.cov is None:  # eye(p) @ theta == theta: skip the p x p work
-            energy = float(theta @ theta)
-        else:
-            energy = float(theta @ (self.resolved_cov() @ theta))
-        return energy / self.resolved_sigma2()
+        return self._signal_energy() / self.resolved_sigma2()
 
     def build_model(self) -> GaussianLinearModel:
         return GaussianLinearModel(self.resolved_theta_star(),
@@ -137,7 +141,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Per-trial outputs; ``dominated`` means regret_bound >= d_bhatta."""
+    """Per-trial outputs; ``dominated`` means regret_bound >= d_bhatta.
+
+    ``report`` and ``certificate`` are the solver's and the bound's full
+    outputs for the trial; they take no part in equality, hashing or repr.
+    """
 
     trial_index: int
     snr: float
@@ -148,6 +156,8 @@ class TrialRecord:
     typical: bool
     dominated: bool
     converged: bool
+    report: SolveReport = field(compare=False, repr=False)
+    certificate: RegretCertificate = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         typical=is_typical(X, model.cov, bc.eps),
         dominated=cert.bound >= d05,
         converged=report.converged,
+        report=report,
+        certificate=cert,
     )
 
 

@@ -6,9 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from mdlasso import cli
+from mdlasso.bounds import regret_certificate
 from mdlasso.cli import (emit_csv, emit_prob_curve_csv, main, parse_config)
 from mdlasso.errors import ConfigError
+from mdlasso.lasso import LassoProblem, solve
+from mdlasso.penalty import min_coefficients
+from mdlasso.seeding import substream
 from mdlasso.sim import TrialRecord, prob_curve
+from mdlasso.typical_set import is_typical
 
 MINIMAL = "n = 50\np = 20\nsnr = 1.5\nseed = 42\n"
 
@@ -17,7 +23,8 @@ def make_record(i, value=0.5):
     return TrialRecord(trial_index=i, snr=1.5, sigma2=2.0 / 3.0,
                        d_bhatta=value, two_hellinger_sq=value * 0.9,
                        regret_bound=value * 3.0, typical=True,
-                       dominated=True, converged=True)
+                       dominated=True, converged=True,
+                       report=None, certificate=None)
 
 
 class TestParseConfig:
@@ -197,3 +204,94 @@ class TestSubcommands:
         assert code == 0, out
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+def reference_bounds(args) -> int:
+    """``bounds`` as it was before it read ``run_trial``'s record (oracle)."""
+    _load_config, _fmt = cli._load_config, cli._fmt
+    cfg = _load_config(args)
+    model = cfg.build_model()
+    bc = cfg.bound_config()
+    sigma2 = model.sigma2
+    rng = substream(cfg.seed, 0)
+    X = model.draw_features(rng, cfg.n)
+    Y = model.draw_response(rng, X)
+    coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps, sigma2)
+    prob = LassoProblem(X, Y, sigma2, coeffs)
+    report = solve(prob)
+    cert = regret_certificate(prob, model, bc, theta_hat=report.theta_hat)
+    items = [
+        ("n", cfg.n), ("p", cfg.p),
+        ("lambda", bc.order.lam), ("beta", bc.beta),
+        ("eps", bc.eps), ("tau", bc.tau),
+        ("snr", cfg.resolved_snr()), ("sigma2", sigma2),
+        ("mu1", coeffs.mu1), ("mu2", coeffs.mu2),
+        ("main_term", cert.main_term), ("regret_bound", cert.bound),
+        ("probability_floor", cert.probability_floor),
+        ("simplified_floor", cert.simplified_floor),
+        ("kappa", cert.kappa),
+        ("vacuous", str(cert.vacuous).lower()),
+        ("typical", str(is_typical(X, model.cov, bc.eps)).lower()),
+        ("solver_converged", str(report.converged).lower()),
+        ("solver_iterations", report.iterations),
+        ("kkt_residual", report.kkt_residual),
+    ]
+    for key, val in items:
+        print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")
+    return 0
+
+
+class TestBoundsOracle:
+    """``bounds`` prints trial 0 of ``simulate``, byte for byte as before."""
+
+    def run(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, iterating", [
+        (MINIMAL, False),
+        ("n = 60\np = 30\nsigma2 = 0.4\nseed = 3\neps = 0.9\ntau = 0.2\n",
+         True),
+    ])
+    def test_stdout_matches_reference(self, tmp_path, capsys, text, iterating):
+        path = tmp_path / "b.cfg"
+        path.write_text(text)
+        argv = ["bounds", "--config", str(path)]
+        got = self.run(capsys, argv)
+        assert reference_bounds(cli._build_parser().parse_args(argv)) == 0
+        assert got == capsys.readouterr().out
+        assert (int(got.split("solver_iterations = ")[1].split()[0]) > 0) \
+            == iterating
+
+    @pytest.mark.parametrize("header, extra, env, seed, snr", [
+        ("seed = 42\n", [], None, 42, 1.5),
+        ("seed = 42\n", [], "7", 42, 1.5),
+        ("", [], "7", 7, 1.5),
+        ("seed = 42\n", ["--seed", "43"], "7", 43, 1.5),
+        ("seed = 42\n", ["--set", "seed=44"], None, 44, 1.5),
+        ("seed = 42\n", ["--set", "seed=44", "--seed", "43"], None, 43, 1.5),
+        ("seed = 42\n", ["--set", "snr=10"], None, 42, 10.0),
+    ])
+    def test_same_precedence_as_simulate(self, tmp_path, capsys, monkeypatch,
+                                         header, extra, env, seed, snr):
+        body = "n = 50\np = 20\neps = 0.9\ntau = 0.2\n"
+        path = tmp_path / "run.cfg"
+        path.write_text(header + "snr = 1.5\n" + body)
+        monkeypatch.delenv("MDLASSO_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MDLASSO_SEED", env)
+        out = tmp_path / "row0.csv"
+        self.run(capsys, ["simulate", "--config", str(path), "--out", str(out),
+                          "--set", "num_trials=1"] + extra)
+        got = self.run(capsys, ["bounds", "--config", str(path)] + extra)
+        with open(out) as fh:
+            row = next(csv.DictReader(fh))
+        printed = dict(line.split(" = ") for line in got.splitlines())
+        for key in ("snr", "sigma2", "regret_bound", "typical"):
+            assert printed[key] == row[key]
+        # the winning seed and snr, written into the file with no overrides
+        explicit = tmp_path / "explicit.cfg"
+        explicit.write_text(f"seed = {seed}\nsnr = {snr}\n" + body)
+        monkeypatch.delenv("MDLASSO_SEED", raising=False)
+        assert got == self.run(capsys, ["bounds", "--config", str(explicit)])

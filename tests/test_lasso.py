@@ -211,13 +211,6 @@ class TestSolve:
         np.testing.assert_allclose(scaled.theta_hat, c * base.theta_hat,
                                    atol=1e-7)
 
-    def test_fista_matches_ista(self):
-        rng = np.random.default_rng(57)
-        prob, _ = orthonormal_problem(rng)
-        ista = solve(prob, tol=1e-10)
-        fista = solve(prob, tol=1e-10, accelerate=True)
-        np.testing.assert_allclose(fista.theta_hat, ista.theta_hat, atol=1e-7)
-
     def test_rejects_bad_tol(self):
         prob = scalar_problem()
         with pytest.raises(ValueError):

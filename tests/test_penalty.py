@@ -196,34 +196,28 @@ class TestRandomizeQuantize:
 
     def test_quarter_point_bernoulli(self):
         # m = 0.25 rounds up with probability 1/4; exact Bernoulli oracle
-        spec = QuantizerSpec(delta=1.0, w_star=np.ones(1), beta=0.5)
-        theta = np.array([0.25])
+        # one call on `draws` independent copies of the component
         draws = 100_000
-        ups = sum(randomize_quantize(theta, spec, seed=s)[0] == 1.0
-                  for s in range(draws))
-        freq = ups / draws
+        spec = QuantizerSpec(delta=1.0, w_star=np.ones(draws), beta=0.5)
+        t = randomize_quantize(np.full(draws, 0.25), spec, seed=0)
+        freq = float(np.mean(t == 1.0))
         se = math.sqrt(0.25 * 0.75 / draws)
         assert abs(freq - 0.25) <= 4 * se
 
     def test_unbiasedness_and_variance(self):
         w = np.array([1.0, 2.0, 0.5])
-        spec = QuantizerSpec(delta=0.8, w_star=w, beta=0.5)
         theta = np.array([0.3, -1.7, 2.2])
         draws = 100_000
-        acc = np.zeros(3)
-        acc_abs = np.zeros(3)
-        acc_sq = np.zeros(3)
-        for s in range(draws):
-            t = randomize_quantize(theta, spec, seed=s)
-            acc += t
-            acc_abs += np.abs(t)
-            acc_sq += (t - theta) ** 2
+        # components are independent: one call rounds `draws` copies at once
+        spec = QuantizerSpec(delta=0.8, w_star=np.tile(w, draws), beta=0.5)
+        t = randomize_quantize(np.tile(theta, draws), spec,
+                               seed=0).reshape(draws, 3)
         step = spec.delta / w  # bounds the per-draw deviation
         se = step / math.sqrt(draws)
-        assert np.all(np.abs(acc / draws - theta) <= 4 * se)
-        assert np.all(np.abs(acc_abs / draws - np.abs(theta)) <= 4 * se)
-        assert np.all(acc_sq / draws <= step * np.abs(theta) + 4 * step ** 2
-                      / math.sqrt(draws))
+        assert np.all(np.abs(t.mean(axis=0) - theta) <= 4 * se)
+        assert np.all(np.abs(np.abs(t).mean(axis=0) - np.abs(theta)) <= 4 * se)
+        assert np.all(((t - theta) ** 2).mean(axis=0)
+                      <= step * np.abs(theta) + 4 * step ** 2 / math.sqrt(draws))
 
     def test_values_on_adjacent_grid_points(self):
         spec = QuantizerSpec(delta=0.7, w_star=np.array([1.3]), beta=0.5)

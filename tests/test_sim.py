@@ -114,6 +114,21 @@ class TestRunTrial:
         assert rec.dominated == (rec.regret_bound >= rec.d_bhatta)
         assert rec.sigma2 == pytest.approx(cfg.resolved_sigma2())
 
+    def test_record_carries_report_and_certificate(self):
+        cfg = ExperimentConfig(seed=11, snr=10.0, num_trials=1, **SMALL)
+        rec = run_trial(cfg, 0)
+        assert rec.certificate.bound == rec.regret_bound
+        assert rec.report.converged == rec.converged
+        assert rec.report.iterations > 0
+
+    def test_report_and_certificate_outside_equality(self):
+        cfg = ExperimentConfig(seed=11, snr=1.5, num_trials=1, **SMALL)
+        a, b = run_trial(cfg, 0), run_trial(cfg, 0)
+        assert a.report is not b.report
+        assert a.certificate is not b.certificate
+        assert a == b and hash(a) == hash(b)
+        assert "report" not in repr(a) and "certificate" not in repr(a)
+
 
 class TestRunExperiment:
     def test_snr_from_sigma2_identity_bit_identical(self, monkeypatch):
@@ -123,17 +138,48 @@ class TestRunExperiment:
             theta = cfg.resolved_theta_star()
             want = float(theta @ (np.eye(p) @ theta)) / 3.0
             assert cfg.resolved_snr().hex() == want.hex()
+            for snr in (0.5, 1.5, 10.0):
+                by_snr = ExperimentConfig(n=50, p=p, seed=0, snr=snr, eps=0.9,
+                                          tau=0.2, sparsity=min(p, 5),
+                                          magnitude=0.7)
+                want = snr_to_sigma2(theta, np.eye(p), snr)
+                assert by_snr.resolved_sigma2().hex() == want.hex()
         cfg = ExperimentConfig(seed=5, sigma2=3.0, num_trials=3, **SMALL)
         want = cfg.resolved_snr()
+        by_snr = ExperimentConfig(seed=5, snr=1.5, num_trials=3, **SMALL)
+        want_sigma2 = by_snr.resolved_sigma2()
 
         def no_dense(_self):
-            raise AssertionError("dense identity built to resolve the SNR")
+            raise AssertionError("dense identity built to resolve the noise")
 
         monkeypatch.setattr(ExperimentConfig, "resolved_cov", no_dense)
         assert cfg.resolved_snr() == want
+        assert by_snr.resolved_sigma2() == want_sigma2
         monkeypatch.undo()
         records, _ = run_experiment(cfg)
         assert [rec.snr for rec in records] == [want] * 3
+
+    def test_build_model_resolves_cov_once(self, monkeypatch):
+        calls = []
+        resolved_cov = ExperimentConfig.resolved_cov
+
+        def counting(self):
+            calls.append(1)
+            return resolved_cov(self)
+
+        monkeypatch.setattr(ExperimentConfig, "resolved_cov", counting)
+        for kw in (dict(snr=1.5), dict(sigma2=3.0)):
+            calls.clear()
+            ExperimentConfig(seed=5, **kw, **SMALL).build_model()
+            assert len(calls) == 1
+
+    def test_snr_with_zero_theta_star_raises(self):
+        cfg = ExperimentConfig(n=40, p=15, seed=4, snr=1.0,
+                               theta_star=np.zeros(15), eps=0.9, tau=0.2)
+        with pytest.raises(ValueError, match="non-zero"):
+            cfg.resolved_sigma2()
+        with pytest.raises(ValueError, match="non-zero"):
+            cfg.build_model()
 
     def test_hellinger_chain_every_record(self):
         cfg = ExperimentConfig(seed=13, snr=1.5, num_trials=50, **SMALL)
