@@ -5,7 +5,7 @@ Subcommands
 simulate    --config <path> --out <csv>   run an experiment, write trial CSV
 prob-curve  --n --p --tau --beta --eps-min --eps-max --steps --out <csv>
 bounds      --config <path>               print one trial's regret certificate
-verify      [--quick]                     run the library's invariant suite
+verify                                    run the library's invariant suite
 
 ``bounds`` reads its config exactly as ``simulate`` does and prints trial 0
 of that experiment: the same draw, solve and certificate as CSV row 0.
@@ -238,7 +238,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import run_verification
-    failures = run_verification(quick=args.quick)
+    failures = run_verification()
     return 1 if failures else 0
 
 
@@ -273,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(func=_cmd_bounds)
 
     ver = sub.add_parser("verify", help="run the library invariant suite")
-    ver.add_argument("--quick", action="store_true")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

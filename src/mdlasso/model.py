@@ -36,6 +36,12 @@ class DivergenceOrder:
                 f"divergence order must lie in (0, 1), got {self.lam}")
 
 
+def _is_identity(a: np.ndarray, p: int) -> bool:
+    """Whether ``a`` is exactly the p x p identity, without building one."""
+    return (a.shape == (p, p) and bool(np.all(np.diagonal(a) == 1.0))
+            and int(np.count_nonzero(a)) == p)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
@@ -68,8 +74,7 @@ class GaussianLinearModel:
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         cov = np.asarray(self.cov, dtype=np.float64)
-        eye = np.eye(theta.size)
-        identity = bool(np.array_equal(cov, eye))  # exactly symmetric already
+        identity = _is_identity(cov, theta.size)  # exactly symmetric already
         if not identity:
             cov = check_symmetric(cov, "feature covariance")
             if cov.shape[0] != theta.size:
@@ -77,7 +82,7 @@ class GaussianLinearModel:
                     f"covariance is {cov.shape[0]}x{cov.shape[0]} but "
                     f"theta_star has length {theta.size}")
             # an asymmetry within tolerance can symmetrize to exactly I
-            identity = bool(np.array_equal(cov, eye))
+            identity = _is_identity(cov, theta.size)
         cov = _readonly(cov)
         root = cov if identity else _readonly(sqrt_sym(cov))
         object.__setattr__(self, "theta_star", _readonly(theta))

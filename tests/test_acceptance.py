@@ -22,18 +22,11 @@ from mdlasso.seeding import substream
 from mdlasso.sim import ExperimentConfig, default_theta_star, run_experiment
 from mdlasso.typical_set import (gamma_tail_check, is_typical,
                                  prob_lower_bounds)
+from mdlasso.verify import fd_renyi, random_model
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
-
-
-def random_model(rng, p_max=5):
-    p = int(rng.integers(1, p_max + 1))
-    A = rng.standard_normal((p, p))
-    cov = A @ A.T + 0.5 * np.eye(p)
-    return GaussianLinearModel(rng.standard_normal(p),
-                               float(rng.uniform(0.5, 2.0)), cov)
 
 
 def test_criterion_1_probability_floor_value():
@@ -118,17 +111,7 @@ def test_criterion_5_calculus_certificates():
         m = random_model(rng)
         theta = m.theta_star + rng.standard_normal(m.dim)
         order = DivergenceOrder(float(rng.uniform(0.05, 0.95)))
-        fd_g = np.zeros(m.dim)
-        fd_h = np.zeros((m.dim, m.dim))
-        for j in range(m.dim):
-            h = 1e-5 * max(1.0, abs(theta[j]))
-            up, dn = theta.copy(), theta.copy()
-            up[j] += h
-            dn[j] -= h
-            fd_g[j] = (renyi_div(m, up, order) - renyi_div(m, dn, order)) / (2 * h)
-            fd_h[:, j] = (renyi_grad(m, up, order)
-                          - renyi_grad(m, dn, order)) / (2 * h)
-        fd_h = (fd_h + fd_h.T) / 2
+        fd_g, fd_h = fd_renyi(m, theta, order)
         g_err = np.linalg.norm(renyi_grad(m, theta, order) - fd_g) \
             / max(np.linalg.norm(fd_g), 1e-12)
         h_err = np.linalg.norm(renyi_hess(m, theta, order) - fd_h) \

@@ -67,16 +67,6 @@ class TestRegretMainTerm:
         got = regret_main_term(prob, theta_star, theta_hat)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_is_minimum_over_probes(self):
-        model, prob, _ = small_instance(seed=1)
-        report = solve(prob, tol=1e-10)
-        main = regret_main_term(prob, model.theta_star, report.theta_hat)
-        rng = substream(2)
-        for _ in range(100):
-            probe = report.theta_hat + rng.standard_normal(prob.p)
-            val = regret_main_term(prob, model.theta_star, probe)
-            assert val >= main - 1e-9
-
 
 class TestRegretCertificate:
     def test_floor_matches_chain_exactly(self):
@@ -242,33 +232,3 @@ class TestHellingerRegretBound:
         with pytest.raises(InvalidOrderError):
             hellinger_regret_bound(cert)
 
-
-class TestViolationFrequency:
-    def test_small_scale_regret_guarantee(self):
-        # reduced version of the frequency check: violations of
-        # bound >= divergence must not exceed 1 - floor by more than noise
-        n, p, trials = 50, 20, 200
-        lam, beta, eps, tau = 0.5, 0.5, 0.9, 0.2
-        theta_star = np.zeros(p)
-        theta_star[:5] = 1.0
-        sigma2 = float(theta_star @ theta_star) / 1.0
-        model = GaussianLinearModel(theta_star, sigma2, np.eye(p))
-        cfg = BoundConfig(DivergenceOrder(lam), beta, eps, tau)
-        coeffs = min_coefficients(n, p, cfg.order, beta, eps, sigma2)
-        from mdlasso.model import renyi_div
-        violations = 0
-        for i in range(trials):
-            rng = substream(17, i)
-            X = model.draw_features(rng, n)
-            Y = model.draw_response(rng, X)
-            prob = LassoProblem(X, Y, sigma2, coeffs)
-            report = solve(prob)
-            cert = regret_certificate(prob, model, cfg,
-                                      theta_hat=report.theta_hat)
-            if renyi_div(model, report.theta_hat, cfg.order) > cert.bound:
-                violations += 1
-        freq = violations / trials
-        floor = prob_lower_bounds(n, p, eps).exact_product \
-            - math.exp(-tau * n * beta)
-        se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
-        assert freq <= (1 - floor) + 3 * se

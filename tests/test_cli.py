@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mdlasso import cli
+from mdlasso import cli, verify
 from mdlasso.bounds import regret_certificate
 from mdlasso.cli import (emit_csv, emit_prob_curve_csv, main, parse_config)
 from mdlasso.errors import ConfigError
@@ -198,12 +198,22 @@ class TestSubcommands:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_verify_quick(self, capsys):
-        code = main(["verify", "--quick"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "PASS" in out
-        assert "FAIL" not in out
+    def test_verify_wiring(self, capsys, monkeypatch):
+        def passes():
+            pass
+
+        def fails():
+            raise AssertionError("boom")
+
+        monkeypatch.setattr(verify, "CHECKS", [("a", passes), ("b", fails)])
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS a", "FAIL b: boom", "1/2 checks passed"]
+        monkeypatch.setattr(verify, "CHECKS", [("a", passes)])
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS a", "1/1 checks passed"]
+        assert main(["verify", "--quick"]) == 2
 
 
 def reference_bounds(args) -> int:

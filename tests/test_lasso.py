@@ -166,14 +166,6 @@ class TestSolve:
         brute = grid[int(np.argmin(vals))]
         assert abs(report.theta_hat[0] - brute) <= 1e-4
 
-    def test_orthonormal_separable_solution(self):
-        rng = np.random.default_rng(53)
-        prob, _ = orthonormal_problem(rng)
-        report = solve(prob, tol=1e-10)
-        closed = soft_threshold(prob.X.T @ prob.Y / prob.n,
-                                prob.coeffs.mu1 * prob.sigma2)
-        assert np.max(np.abs(report.theta_hat - closed)) <= 1e-6
-
     def test_monotone_descent(self):
         rng = np.random.default_rng(54)
         for _ in range(10):

@@ -1,12 +1,12 @@
 """Model and divergence-calculus tests.
 
-Finite differences are the oracle for the gradient and Hessian; the tilted
-covariance is cross-checked against the rank-one inverse update; the
-positive-semidefinite domination of the negative Hessian is certified by an
-eigenvalue sweep with the exact boundary case pinned.
+Worked values, the exact boundary case of the Hessian domination, and input
+validation. The randomized sweeps (finite differences, the rank-one tilted
+covariance, the domination gap) are checks in ``mdlasso.verify``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,36 +18,7 @@ from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            displacement_energy, hessian_bound_gap, renyi_div,
                            renyi_div_n, renyi_grad, renyi_hess, tilt_scale,
                            tilted)
-
-
-def random_model(rng, p_max=5):
-    p = int(rng.integers(1, p_max + 1))
-    A = rng.standard_normal((p, p))
-    cov = A @ A.T + 0.5 * np.eye(p)
-    return GaussianLinearModel(rng.standard_normal(p),
-                               float(rng.uniform(0.5, 2.0)), cov)
-
-
-def fd_gradient(model, theta, order):
-    g = np.zeros(theta.size)
-    for j in range(theta.size):
-        h = 1e-5 * max(1.0, abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        g[j] = (renyi_div(model, up, order) - renyi_div(model, dn, order)) / (2 * h)
-    return g
-
-
-def fd_hessian(model, theta, order):
-    H = np.zeros((theta.size, theta.size))
-    for j in range(theta.size):
-        h = 1e-5 * max(1.0, abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        H[:, j] = (renyi_grad(model, up, order) - renyi_grad(model, dn, order)) / (2 * h)
-    return (H + H.T) / 2
+from mdlasso.verify import fd_renyi, random_model
 
 
 class TestDivergenceOrder:
@@ -107,6 +78,33 @@ class TestIdentityCovariance:
         m = GaussianLinearModel(np.ones(2), 1.0, np.diag([1.0, 2.0]))
         assert not m.identity_cov
 
+    @pytest.mark.parametrize("build", [
+        lambda p: np.eye(p),
+        lambda p: np.where(np.eye(p) == 1.0, 1.0, -0.0),
+        lambda p: np.where(np.eye(p) == 1.0, np.nan, 0.0),
+        lambda p: np.where(np.eye(p) == 1.0, 1.0, np.nan),
+        lambda p: np.eye(p + 1),
+        lambda p: np.ones(p),
+        lambda p: 2.0 * np.eye(p),
+        lambda p: np.diag([1.0] * (p - 1) + [-1.0]),
+    ], ids=["identity", "neg_zero_off", "nan_diag", "nan_off", "bigger",
+            "one_d", "twice", "neg_one_diag"])
+    def test_identity_test_matches_dense_comparison(self, build):
+        for p in (1, 2, 3, 5):
+            cov = build(p)
+            assert model_module._is_identity(cov, p) \
+                == np.array_equal(cov, np.eye(p)), p
+
+    def test_identity_builds_no_second_matrix(self):
+        cov = np.eye(1000)
+        tracemalloc.start()
+        try:
+            GaussianLinearModel(np.ones(1000), 1.0, cov)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cov.nbytes  # the read-only copy, no dense eye
+
     def test_divergences_match_dense_identity(self):
         # The solver's soft-threshold leaves -0.0 entries, which the dense
         # I @ tb turns into +0.0: values agree, the sign of zero may not.
@@ -158,18 +156,6 @@ class TestTilted:
                               np.array([2.0, 0.0]) / 2.0)
         np.testing.assert_allclose(tq.covariance, sm, atol=1e-12)
 
-    def test_covariance_matches_rank_one_update(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            m = random_model(rng)
-            theta = m.theta_star + rng.standard_normal(m.dim)
-            order = DivergenceOrder(float(rng.uniform(0.05, 0.95)))
-            tq = tilted(m, theta, order)
-            tb = theta - m.theta_star
-            sm = sherman_morrison(m.cov, tb / math.sqrt(tq.scale),
-                                  tb / math.sqrt(tq.scale))
-            assert np.linalg.norm(tq.covariance - sm) <= 1e-9 * np.linalg.norm(sm)
-
     def test_interpolated_coeffs(self):
         m = GaussianLinearModel(np.array([1.0, 0.0]), 1.0, np.eye(2))
         tq = tilted(m, np.array([3.0, 2.0]), DivergenceOrder(0.25))
@@ -200,15 +186,6 @@ class TestRenyiDiv:
         assert renyi_div_n(m, theta, order, 37) == pytest.approx(
             37 * renyi_div(m, theta, order), rel=1e-14)
 
-    def test_monotone_in_order(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            m = random_model(rng)
-            theta = m.theta_star + rng.standard_normal(m.dim)
-            vals = [renyi_div(m, theta, DivergenceOrder(l))
-                    for l in np.arange(0.05, 0.96, 0.05)]
-            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
     def test_nonnegative_zero_only_at_truth(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -219,20 +196,6 @@ class TestRenyiDiv:
                 assert d == 0.0
             else:
                 assert d > 0.0
-
-    def test_kl_limit(self):
-        # as lam -> 1 the divergence approaches energy / (2 sigma2)
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            m = random_model(rng)
-            direction = rng.standard_normal(m.dim)
-            direction /= math.sqrt(direction @ (m.cov @ direction))
-            theta = m.theta_star + direction * math.sqrt(
-                0.1 * m.sigma2 * rng.uniform(0.1, 1.0))
-            kl = displacement_energy(m, theta) / (2 * m.sigma2)
-            for lam, rtol in ((0.9, 0.12), (0.99, 0.012), (0.999, 2e-3)):
-                d = renyi_div(m, theta, DivergenceOrder(lam))
-                assert abs(d - kl) <= rtol * kl
 
 
 class TestRenyiGrad:
@@ -248,18 +211,8 @@ class TestRenyiGrad:
         order = DivergenceOrder(0.5)
         g = renyi_grad(m, theta, order)
         assert g[0] == pytest.approx(0.5, abs=1e-12)
-        fd = fd_gradient(m, theta, order)
+        fd, _ = fd_renyi(m, theta, order)
         assert abs(g[0] - fd[0]) <= 1e-6 * abs(fd[0])
-
-    def test_fd_sweep(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            m = random_model(rng)
-            theta = m.theta_star + rng.standard_normal(m.dim)
-            order = DivergenceOrder(float(rng.uniform(0.05, 0.95)))
-            g = renyi_grad(m, theta, order)
-            fd = fd_gradient(m, theta, order)
-            assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-12)
 
 
 class TestRenyiHess:
@@ -276,18 +229,8 @@ class TestRenyiHess:
         m = GaussianLinearModel(np.zeros(1), 1.0, np.eye(1))
         H = renyi_hess(m, np.array([2.0]), DivergenceOrder(0.5))
         assert H[0, 0] == pytest.approx(0.0, abs=1e-14)
-        fd = fd_hessian(m, np.array([2.0]), DivergenceOrder(0.5))
+        _, fd = fd_renyi(m, np.array([2.0]), DivergenceOrder(0.5))
         assert abs(H[0, 0] - fd[0, 0]) <= 1e-8
-
-    def test_fd_sweep(self):
-        rng = np.random.default_rng(15)
-        for _ in range(100):
-            m = random_model(rng, p_max=3)
-            theta = m.theta_star + rng.standard_normal(m.dim)
-            order = DivergenceOrder(float(rng.uniform(0.05, 0.95)))
-            H = renyi_hess(m, theta, order)
-            fd = fd_hessian(m, theta, order)
-            assert np.linalg.norm(H - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-12)
 
 
 class TestHessianBoundGap:
@@ -305,11 +248,3 @@ class TestHessianBoundGap:
         theta = np.array([math.sqrt(3.0 * c)])
         assert displacement_energy(m, theta) == pytest.approx(12.0)
         assert abs(hessian_bound_gap(m, theta, order)) <= 1e-10
-
-    def test_sweep_nonnegative(self):
-        rng = np.random.default_rng(16)
-        for _ in range(1000):
-            m = random_model(rng, p_max=6)
-            theta = m.theta_star + rng.standard_normal(m.dim) * rng.uniform(0.1, 30)
-            order = DivergenceOrder(float(rng.uniform(0.02, 0.98)))
-            assert hessian_bound_gap(m, theta, order) >= -1e-8

@@ -108,17 +108,6 @@ class TestProbLowerBounds:
         assert np.all(lhs >= grid ** 2 / 7.0)
         assert 0.5 * (1 - math.log(2.0)) == pytest.approx(0.15342640972002736)
 
-    def test_membership_frequency_oracle(self):
-        n, p, eps = 50, 5, 0.3
-        rng = np.random.default_rng(41)
-        draws = 10_000
-        hits = sum(is_typical(rng.standard_normal((n, p)), np.eye(p), eps)
-                   for _ in range(draws))
-        freq = hits / draws
-        bound = prob_lower_bounds(n, p, eps).exact_product
-        se = math.sqrt(freq * (1 - freq) / draws)
-        assert freq >= bound - 3 * se
-
 
 class TestGammaTail:
     def test_reference_bound(self):
@@ -131,16 +120,6 @@ class TestGammaTail:
         emp, bnd = gamma_tail_check(50, 0.0, 1000, seed=43)
         assert bnd == 1.0
         assert emp <= 1.0
-
-    def test_scale_invariance(self):
-        draws = 50_000
-        results = [gamma_tail_check(50, 0.3, draws, seed=44, s=s)
-                   for s in (0.5, 1.0, 4.0)]
-        bounds_ = {r.analytic_bound for r in results}
-        assert len(bounds_) == 1  # identical exponent across scales
-        for emp, bnd in results:
-            se = math.sqrt(max(emp * (1 - emp), 1e-12) / draws)
-            assert emp <= bnd + 3 * se
 
     def test_rejects_small_mc(self):
         with pytest.raises(ValueError):
