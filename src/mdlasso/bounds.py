@@ -216,9 +216,8 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
 
     mains_arr = np.asarray(mains)
     renyis_arr = np.asarray(renyis)
-    se = float(np.std(mains_arr, ddof=1)) / math.sqrt(accepted) if accepted > 1 else 0.0
-    renyi_se = float(np.std(renyis_arr, ddof=1)) / math.sqrt(accepted) \
-        if accepted > 1 else 0.0
+    se = float(np.std(mains_arr, ddof=1)) / math.sqrt(accepted)
+    renyi_se = float(np.std(renyis_arr, ddof=1)) / math.sqrt(accepted)
     return RiskBoundEstimate(
         value=float(np.mean(mains_arr)) + penalty_term,
         std_error=se,

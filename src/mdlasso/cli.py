@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, MdlassoError
 from .penalty import min_coefficients
-from .sim import (DEFAULT_SPARSITY, ExperimentConfig, ProbCurvePoint,
-                  TrialRecord, prob_curve, run_experiment, run_trial)
+from .sim import (ExperimentConfig, ProbCurvePoint, TrialRecord, prob_curve,
+                  run_experiment, run_trial)
 
 _ENV_SEED = "MDLASSO_SEED"
 
@@ -94,14 +94,11 @@ def _build_config(values: dict) -> ExperimentConfig:
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required key '{key}'")
-    if "snr" not in values and "sigma2" not in values:
-        raise ConfigError("one of 'snr' and 'sigma2' is required")
     if "seed" not in values:
         raise ConfigError("no seed: provide the 'seed' key, --seed, "
                           f"or the {_ENV_SEED} environment variable")
     kwargs = {("lam" if key == "lambda" else key): value
               for key, value in values.items()}
-    kwargs.setdefault("sparsity", min(DEFAULT_SPARSITY, values["p"]))
     try:
         return ExperimentConfig(**kwargs)
     except (ValueError, MdlassoError) as exc:

@@ -1,13 +1,13 @@
 """Data generation and the SNR-sweep experiment protocol.
 
-A trial at configuration (n, p, cov, theta_star, snr, ...) draws a design
-with i.i.d. N(0, cov) rows and responses from the true model at the noise
-variance that realizes the requested signal-to-noise ratio
-E[(x^T theta_star)^2] / sigma2, builds the minimal valid penalty, solves the
-lasso, and records the Bhattacharyya divergence at the solution, twice the
-squared Hellinger distance (in the [0,1]-normalized convention; numerically
-this equals the [0,2]-ranged hellinger_sq value), the regret bound, design
-typicality, and whether the bound dominated the divergence.
+A trial at configuration (n, p, snr, ...) draws a design with i.i.d.
+N(0, I) rows and responses from the true model at the noise variance that
+realizes the requested signal-to-noise ratio E[(x^T theta_star)^2] / sigma2,
+builds the minimal valid penalty, solves the lasso, and records the
+Bhattacharyya divergence at the solution, twice the squared Hellinger
+distance (in the [0,1]-normalized convention; numerically this equals the
+[0,2]-ranged hellinger_sq value), the regret bound, design typicality, and
+whether the bound dominated the divergence.
 
 Trials are reproducible: trial i draws from the (seed, i) substream, so
 records are bit-identical regardless of evaluation order.
@@ -60,11 +60,11 @@ def default_theta_star(p: int, sparsity: int = DEFAULT_SPARSITY,
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Full description of one experiment.
+    """One config document (``cli.CONFIG_KEYS``, ``lambda`` as ``lam``), resolved.
 
-    Exactly one of ``snr`` and ``sigma2`` may be left None; the other is
-    derived. ``theta_star`` defaults to the k-sparse vector of
-    ``default_theta_star`` and ``cov`` to the identity.
+    Construction sets ``theta_star`` to ``default_theta_star`` (``sparsity``
+    defaults to min(10, p)) and derives whichever of ``snr`` and ``sigma2``
+    is not given. The feature covariance is the identity.
     """
 
     n: int
@@ -77,10 +77,9 @@ class ExperimentConfig:
     beta: float = 0.5
     eps: float = 0.5
     tau: float = 0.03
-    sparsity: int = DEFAULT_SPARSITY
+    sparsity: Optional[int] = None
     magnitude: float = DEFAULT_MAGNITUDE
-    theta_star: Optional[np.ndarray] = None
-    cov: Optional[np.ndarray] = None
+    theta_star: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
@@ -96,47 +95,23 @@ class ExperimentConfig:
         if self.sigma2 is not None and not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         self.bound_config()  # validates lam/beta/eps/tau jointly
-        if self.theta_star is None and not 1 <= self.sparsity <= self.p:
-            raise ValueError(
-                f"sparsity must lie in [1, {self.p}], got {self.sparsity}")
+        if self.sparsity is None:
+            object.__setattr__(self, "sparsity", min(DEFAULT_SPARSITY, self.p))
+        theta = default_theta_star(self.p, self.sparsity, self.magnitude)
+        theta.setflags(write=False)
+        energy = float(theta @ theta)
+        if self.sigma2 is None:
+            sigma2, snr = _energy_to_sigma2(energy, self.snr), float(self.snr)
+        else:
+            sigma2, snr = float(self.sigma2), energy / self.sigma2
+        for name, value in (("theta_star", theta), ("sigma2", sigma2), ("snr", snr)):
+            object.__setattr__(self, name, value)
 
     def bound_config(self) -> BoundConfig:
         return BoundConfig(DivergenceOrder(self.lam), self.beta, self.eps, self.tau)
 
-    def resolved_theta_star(self) -> np.ndarray:
-        if self.theta_star is not None:
-            theta = np.asarray(self.theta_star, dtype=np.float64).reshape(-1)
-            if theta.size != self.p:
-                raise ValueError(
-                    f"theta_star has {theta.size} entries, expected {self.p}")
-            return theta
-        return default_theta_star(self.p, self.sparsity, self.magnitude)
-
-    def resolved_cov(self) -> np.ndarray:
-        if self.cov is None:
-            return np.eye(self.p)
-        return np.asarray(self.cov, dtype=np.float64)
-
-    def _signal_energy(self) -> float:
-        """theta_star^T cov theta_star, the numerator of the SNR."""
-        theta = self.resolved_theta_star()
-        if self.cov is None:  # eye(p) @ theta == theta: skip the p x p work
-            return float(theta @ theta)
-        return float(theta @ (self.resolved_cov() @ theta))
-
-    def resolved_sigma2(self) -> float:
-        if self.sigma2 is not None:
-            return float(self.sigma2)
-        return _energy_to_sigma2(self._signal_energy(), self.snr)
-
-    def resolved_snr(self) -> float:
-        if self.snr is not None:
-            return float(self.snr)
-        return self._signal_energy() / self.resolved_sigma2()
-
     def build_model(self) -> GaussianLinearModel:
-        return GaussianLinearModel(self.resolved_theta_star(),
-                                   self.resolved_sigma2(), self.resolved_cov())
+        return GaussianLinearModel(self.theta_star, self.sigma2, np.eye(self.p))
 
 
 @dataclass(frozen=True)
@@ -192,7 +167,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     two_h2 = hellinger_sq(model, report.theta_hat)
     return TrialRecord(
         trial_index=trial_index,
-        snr=cfg.resolved_snr(),
+        snr=cfg.snr,
         sigma2=sigma2,
         d_bhatta=d05,
         two_hellinger_sq=two_h2,

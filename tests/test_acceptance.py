@@ -8,9 +8,7 @@ stated tolerance. Seeds are fixed, so the suite is deterministic.
 import math
 
 import numpy as np
-import pytest
 
-from mdlasso.bounds import BoundConfig, regret_certificate
 from mdlasso.divergences import renyi_mc
 from mdlasso.lasso import LassoProblem, kkt_residual, soft_threshold, solve
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
@@ -248,23 +246,11 @@ def test_criterion_8_solver_correctness():
 def test_criterion_9_violation_frequency():
     """(n=50, p=20, 1000 trials): violations <= 1 - floor + 3 SE."""
     n, p, trials = 50, 20, 1000
-    lam, beta, eps, tau = 0.5, 0.5, 0.9, 0.2
-    theta_star = default_theta_star(p, sparsity=5)
-    sigma2 = float(theta_star @ theta_star) / 1.0
-    model = GaussianLinearModel(theta_star, sigma2, np.eye(p))
-    cfg = BoundConfig(DivergenceOrder(lam), beta, eps, tau)
-    coeffs = min_coefficients(n, p, cfg.order, beta, eps, sigma2)
-    violations = 0
-    for i in range(trials):
-        rng = substream(409, i)
-        X = model.draw_features(rng, n)
-        Y = model.draw_response(rng, X)
-        prob = LassoProblem(X, Y, sigma2, coeffs)
-        rep = solve(prob)
-        cert = regret_certificate(prob, model, cfg, theta_hat=rep.theta_hat)
-        if renyi_div(model, rep.theta_hat, cfg.order) > cert.bound:
-            violations += 1
-    freq = violations / trials
+    beta, eps, tau = 0.5, 0.9, 0.2
+    records, _ = run_experiment(ExperimentConfig(
+        n=n, p=p, seed=409, snr=1.0, num_trials=trials, eps=eps, tau=tau,
+        sparsity=5))
+    freq = sum(not r.dominated for r in records) / trials
     floor = prob_lower_bounds(n, p, eps).exact_product \
         - math.exp(-tau * n * beta)
     se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)

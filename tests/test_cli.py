@@ -234,7 +234,7 @@ def reference_bounds(args) -> int:
         ("n", cfg.n), ("p", cfg.p),
         ("lambda", bc.order.lam), ("beta", bc.beta),
         ("eps", bc.eps), ("tau", bc.tau),
-        ("snr", cfg.resolved_snr()), ("sigma2", sigma2),
+        ("snr", cfg.snr), ("sigma2", sigma2),
         ("mu1", coeffs.mu1), ("mu2", coeffs.mu2),
         ("main_term", cert.main_term), ("regret_bound", cert.bound),
         ("probability_floor", cert.probability_floor),

@@ -48,6 +48,18 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             m.cov[0, 0] = 2.0
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 7), (50, 20), (200, 1000)])
+    def test_draw_is_aligned_plain_draw(self, n, p):
+        m = GaussianLinearModel(np.linspace(-1.0, 1.0, p), 0.5, np.eye(p))
+        rng, plain = np.random.default_rng(n + p), np.random.default_rng(n + p)
+        X = m.draw_features(rng, n)
+        Y = m.draw_response(rng, X)
+        assert X.ctypes.data % 64 == 0 and X.flags.c_contiguous
+        want = plain.standard_normal((n, p))
+        np.testing.assert_array_equal(X, want)
+        np.testing.assert_array_equal(
+            Y, want @ m.theta_star + np.sqrt(0.5) * plain.standard_normal(n))
+
 
 class TestIdentityCovariance:
     def test_identity_skips_symmetry_check(self, monkeypatch):

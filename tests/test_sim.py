@@ -1,13 +1,14 @@
 """Experiment protocol tests: SNR control, determinism, per-trial invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mdlasso.bounds import BoundConfig
+from mdlasso.cli import CONFIG_KEYS, parse_config
 from mdlasso.divergences import bhattacharyya
-from mdlasso.model import DivergenceOrder, GaussianLinearModel
+from mdlasso.model import GaussianLinearModel
 from mdlasso.sim import (ExperimentConfig, default_theta_star, prob_curve,
                          run_experiment, run_trial, snr_to_sigma2)
 from mdlasso.typical_set import prob_lower_bounds
@@ -61,15 +62,31 @@ class TestExperimentConfig:
         assert np.count_nonzero(theta) == 4
         np.testing.assert_allclose(theta[:4], 1.5)
 
-    def test_resolved_sigma2_from_snr(self):
+    def test_sigma2_from_snr(self):
         cfg = ExperimentConfig(n=10, p=20, seed=1, snr=2.0, sparsity=5)
-        assert cfg.resolved_sigma2() == pytest.approx(5.0 / 2.0)
-        assert cfg.resolved_snr() == 2.0
+        assert cfg.sigma2 == pytest.approx(5.0 / 2.0)
+        assert cfg.snr == 2.0
 
     def test_explicit_sigma2(self):
         cfg = ExperimentConfig(n=10, p=20, seed=1, sigma2=3.0, sparsity=5)
-        assert cfg.resolved_sigma2() == 3.0
-        assert cfg.resolved_snr() == pytest.approx(5.0 / 3.0)
+        assert cfg.sigma2 == 3.0
+        assert cfg.snr == pytest.approx(5.0 / 3.0)
+
+    def test_sparsity_defaults_as_in_document(self):
+        cfg = ExperimentConfig(n=10, p=5, seed=1, snr=1.0)
+        doc = parse_config("n = 10\np = 5\nseed = 1\nsnr = 1.0\n")
+        assert cfg.sparsity == doc.sparsity == 5
+        np.testing.assert_array_equal(cfg.theta_star, doc.theta_star)
+        assert (cfg.sigma2, cfg.snr) == (doc.sigma2, doc.snr)
+
+    def test_rejects_zero_magnitude(self):
+        with pytest.raises(ValueError, match="magnitude"):
+            ExperimentConfig(n=10, p=5, seed=1, snr=1.0, magnitude=0.0)
+
+    def test_init_fields_are_document_keys(self):
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.init]
+        keys = ["lam" if key == "lambda" else key for key in CONFIG_KEYS]
+        assert sorted(fields) == sorted(keys)
 
 
 class TestRunTrial:
@@ -83,22 +100,12 @@ class TestRunTrial:
         d_at_zero = bhattacharyya(model, np.zeros(cfg.p))
         assert rec.d_bhatta == pytest.approx(d_at_zero, rel=1e-12)
 
-    def test_zero_signal_gives_zero_divergence(self):
-        cfg = ExperimentConfig(n=40, p=15, seed=4, sigma2=1.0,
-                               theta_star=np.zeros(15),
-                               eps=0.9, tau=0.2)
-        rec = run_trial(cfg, 0)
-        assert rec.snr == 0.0
-        assert rec.d_bhatta == 0.0
-        assert rec.two_hellinger_sq == 0.0
-        assert rec.dominated
-
     def test_record_chain_and_dominance_fields(self):
         cfg = ExperimentConfig(seed=11, snr=1.5, num_trials=1, **SMALL)
         rec = run_trial(cfg, 0)
         assert rec.two_hellinger_sq <= rec.d_bhatta + 1e-12
         assert rec.dominated == (rec.regret_bound >= rec.d_bhatta)
-        assert rec.sigma2 == pytest.approx(cfg.resolved_sigma2())
+        assert (rec.snr, rec.sigma2) == (cfg.snr, cfg.sigma2)
 
     def test_record_carries_report_and_certificate(self):
         cfg = ExperimentConfig(seed=11, snr=10.0, num_trials=1, **SMALL)
@@ -117,55 +124,19 @@ class TestRunTrial:
 
 
 class TestRunExperiment:
-    def test_snr_from_sigma2_identity_bit_identical(self, monkeypatch):
+    def test_snr_from_sigma2_identity_bit_identical(self):
         for p in (1, 7, 20, 1000):
             cfg = ExperimentConfig(n=50, p=p, seed=0, sigma2=3.0, eps=0.9,
                                    tau=0.2, sparsity=min(p, 5), magnitude=0.7)
-            theta = cfg.resolved_theta_star()
+            theta = cfg.theta_star
             want = float(theta @ (np.eye(p) @ theta)) / 3.0
-            assert cfg.resolved_snr().hex() == want.hex()
+            assert cfg.snr.hex() == want.hex()
             for snr in (0.5, 1.5, 10.0):
                 by_snr = ExperimentConfig(n=50, p=p, seed=0, snr=snr, eps=0.9,
                                           tau=0.2, sparsity=min(p, 5),
                                           magnitude=0.7)
                 want = snr_to_sigma2(theta, np.eye(p), snr)
-                assert by_snr.resolved_sigma2().hex() == want.hex()
-        cfg = ExperimentConfig(seed=5, sigma2=3.0, num_trials=3, **SMALL)
-        want = cfg.resolved_snr()
-        by_snr = ExperimentConfig(seed=5, snr=1.5, num_trials=3, **SMALL)
-        want_sigma2 = by_snr.resolved_sigma2()
-
-        def no_dense(_self):
-            raise AssertionError("dense identity built to resolve the noise")
-
-        monkeypatch.setattr(ExperimentConfig, "resolved_cov", no_dense)
-        assert cfg.resolved_snr() == want
-        assert by_snr.resolved_sigma2() == want_sigma2
-        monkeypatch.undo()
-        records, _ = run_experiment(cfg)
-        assert [rec.snr for rec in records] == [want] * 3
-
-    def test_build_model_resolves_cov_once(self, monkeypatch):
-        calls = []
-        resolved_cov = ExperimentConfig.resolved_cov
-
-        def counting(self):
-            calls.append(1)
-            return resolved_cov(self)
-
-        monkeypatch.setattr(ExperimentConfig, "resolved_cov", counting)
-        for kw in (dict(snr=1.5), dict(sigma2=3.0)):
-            calls.clear()
-            ExperimentConfig(seed=5, **kw, **SMALL).build_model()
-            assert len(calls) == 1
-
-    def test_snr_with_zero_theta_star_raises(self):
-        cfg = ExperimentConfig(n=40, p=15, seed=4, snr=1.0,
-                               theta_star=np.zeros(15), eps=0.9, tau=0.2)
-        with pytest.raises(ValueError, match="non-zero"):
-            cfg.resolved_sigma2()
-        with pytest.raises(ValueError, match="non-zero"):
-            cfg.build_model()
+                assert by_snr.sigma2.hex() == want.hex()
 
     def test_summary_counts(self):
         cfg = ExperimentConfig(seed=16, snr=1.0, num_trials=20, **SMALL)
