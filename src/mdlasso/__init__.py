@@ -1,9 +1,9 @@
 """Risk/regret bound calculus for column-normalized lasso under Gaussian random design."""
 
-from .bounds import (BoundConfig, RegretCertificate, RiskBoundEstimate,
-                     alpha_bound_at_probability, alpha_risk_bound,
-                     hellinger_regret_bound, regret_certificate,
-                     regret_main_term, risk_bound_rhs)
+from .bounds import (BoundConfig, ProbCurvePoint, RegretCertificate,
+                     RiskBoundEstimate, alpha_bound_at_probability,
+                     alpha_risk_bound, hellinger_regret_bound, prob_curve,
+                     regret_certificate, regret_main_term, risk_bound_rhs)
 from .divergences import (AlphaOrder, McEstimate, alpha_div, bhattacharyya,
                           hellinger_sq, kl_closed, renyi_mc)
 from .lasso import (LassoProblem, SolveReport, kkt_residual, objective,
@@ -16,9 +16,8 @@ from .penalty import (PenaltyCoefficients, QuantizerSpec, design_ratio,
                       empirical_weights, fixed_design_mu1, grid_codelength,
                       kraft_sum, min_coefficients, population_weights,
                       randomize_quantize, weighted_l1)
-from .sim import (ExperimentConfig, ExperimentSummary, ProbCurvePoint,
-                  TrialRecord, default_theta_star, prob_curve, run_experiment,
-                  run_trial, snr_to_sigma2)
+from .sim import (ExperimentConfig, ExperimentSummary, TrialRecord,
+                  default_theta_star, run_experiment, run_trial, snr_to_sigma2)
 from .typical_set import (GammaTailResult, ProbBoundTriple, gamma_tail_check,
                           is_typical, prob_lower_bounds, sanov_exponent)
 

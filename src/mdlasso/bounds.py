@@ -38,7 +38,7 @@ from .lasso import LassoProblem, objective, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
 from .penalty import PenaltyCoefficients, min_coefficients
 from .seeding import substream
-from .typical_set import is_typical, prob_lower_bounds, sanov_exponent
+from .typical_set import is_typical, prob_lower_bounds
 
 _COEFF_RTOL = 1e-9
 
@@ -65,14 +65,55 @@ class BoundConfig:
                 f"1 - beta = {1.0 - self.beta}")
 
 
+@dataclass(frozen=True)
+class ProbCurvePoint:
+    """Probability floor and its bound-chain components at one eps.
+
+    ``floor`` = exact_product - exp(-tau n beta) and ``simplified_floor`` =
+    simplified - exp(-tau n beta), clamped to 0 (``floor`` clamped or the
+    chain vacuous sets ``vacuous``).
+    """
+
+    eps: float
+    floor_exact: float
+    floor_linear: float
+    floor_simplified: float
+    floor: float
+    simplified_floor: float
+    vacuous: bool
+
+
+def probability_floor(n: int, p: int, eps: float, tau: float,
+                      beta: float) -> ProbCurvePoint:
+    """The regret bound's probability floor at (n, p, eps, tau, beta)."""
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    triple = prob_lower_bounds(n, p, eps)
+    tau_term = math.exp(-tau * n * beta)
+    raw = triple.exact_product - tau_term
+    return ProbCurvePoint(eps, triple.exact_product, triple.linearized,
+                          triple.simplified, max(0.0, raw),
+                          max(0.0, triple.simplified - tau_term),
+                          raw < 0.0 or triple.vacuous)
+
+
+def prob_curve(n: int, p: int, tau: float, beta: float,
+               eps_grid: np.ndarray) -> list[ProbCurvePoint]:
+    """``probability_floor`` over an eps grid."""
+    return [probability_floor(n, p, float(eps), tau, beta)
+            for eps in np.asarray(eps_grid, dtype=np.float64)]
+
+
 @dataclass(frozen=True, eq=False)
 class RegretCertificate:
     """Assembled regret bound and the probability with which it holds.
 
-    ``probability_floor`` is exact_product - exp(-tau n beta), clamped to 0
-    (``vacuous`` set) when negative. ``simplified_floor`` is the looser
-    closed form 1 - 2p exp(-n eps^2/7) - exp(-n tau beta), whose decay rate
-    is ``kappa`` = min(eps^2/7, tau beta).
+    ``probability_floor``, ``simplified_floor`` and ``vacuous`` are those of
+    ``probability_floor``; the simplified floor's decay rate is ``kappa`` =
+    min(eps^2/7, tau beta). ``minimums`` are the ``min_coefficients`` the
+    problem's penalty was checked against.
     """
 
     config: BoundConfig
@@ -82,14 +123,21 @@ class RegretCertificate:
     simplified_floor: float
     kappa: float
     vacuous: bool
+    minimums: PenaltyCoefficients
 
 
 def meets_minimums(coeffs: PenaltyCoefficients,
-                   minimums: PenaltyCoefficients,
-                   rtol: float = _COEFF_RTOL) -> bool:
+                   minimums: PenaltyCoefficients) -> bool:
     """True iff both coefficients reach their minimal values (to relative slack)."""
-    return (coeffs.mu1 >= minimums.mu1 * (1.0 - rtol)
-            and coeffs.mu2 >= minimums.mu2 * (1.0 - rtol))
+    return (coeffs.mu1 >= minimums.mu1 * (1.0 - _COEFF_RTOL)
+            and coeffs.mu2 >= minimums.mu2 * (1.0 - _COEFF_RTOL))
+
+
+def _check_sigma2(prob: LassoProblem, model: GaussianLinearModel) -> None:
+    if abs(prob.sigma2 - model.sigma2) > 1e-9 * model.sigma2:
+        raise InvalidCertificateError(
+            f"problem sigma2={prob.sigma2} does not match model "
+            f"sigma2={model.sigma2}")
 
 
 def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
@@ -118,10 +166,7 @@ def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
         for (order, beta, eps), or the noise variances of problem and model
         disagree.
     """
-    if abs(prob.sigma2 - model.sigma2) > 1e-9 * model.sigma2:
-        raise InvalidCertificateError(
-            f"problem sigma2={prob.sigma2} does not match model "
-            f"sigma2={model.sigma2}")
+    _check_sigma2(prob, model)
     n, p = prob.n, prob.p
     minimums = min_coefficients(n, p, config.order, config.beta, config.eps,
                                 prob.sigma2)
@@ -133,21 +178,16 @@ def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
     if theta_hat is None:
         theta_hat = solve(prob).theta_hat
     main = regret_main_term(prob, model.theta_star, theta_hat)
-
-    triple = prob_lower_bounds(n, p, config.eps)
-    tau_term = math.exp(-config.tau * n * config.beta)
-    floor_raw = triple.exact_product - tau_term
-    kappa = min(config.eps ** 2 / 7.0, config.tau * config.beta)
-    simplified_raw = 1.0 - 2.0 * p * math.exp(-n * config.eps ** 2 / 7.0) \
-        - math.exp(-n * config.tau * config.beta)
+    floor = probability_floor(n, p, config.eps, config.tau, config.beta)
     return RegretCertificate(
         config=config,
         main_term=main,
         bound=main + config.tau,
-        probability_floor=max(0.0, floor_raw),
-        simplified_floor=max(0.0, simplified_raw),
-        kappa=kappa,
-        vacuous=floor_raw < 0.0 or triple.vacuous,
+        probability_floor=floor.floor,
+        simplified_floor=floor.simplified_floor,
+        kappa=min(config.eps ** 2 / 7.0, config.tau * config.beta),
+        vacuous=floor.vacuous,
+        minimums=minimums,
     )
 
 
@@ -193,9 +233,7 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
     n = p = None
     for i in range(num_mc):
         prob = prob_generator(substream(seed, i))
-        if abs(prob.sigma2 - model.sigma2) > 1e-9 * model.sigma2:
-            raise InvalidCertificateError(
-                "generated problem's sigma2 does not match the model")
+        _check_sigma2(prob, model)
         n, p = prob.n, prob.p
         if not is_typical(prob.X, model.cov, config.eps):
             continue
@@ -208,11 +246,11 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
             f"only {accepted} of {num_mc} draws were eps-typical; "
             f"need at least 10")
 
-    tail = 2.0 * math.exp(-sanov_exponent(n, config.eps, "upper"))
-    if tail >= 1.0:
+    triple = prob_lower_bounds(n, p, config.eps)
+    if triple.vacuous:
         raise InvalidCertificateError(
             f"typical-set bound is vacuous at n={n}, eps={config.eps}")
-    penalty_term = -p * math.log1p(-tail) / (n * config.beta)
+    penalty_term = -triple.log_exact_product / (n * config.beta)
 
     mains_arr = np.asarray(mains)
     renyis_arr = np.asarray(renyis)

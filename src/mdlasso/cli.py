@@ -27,10 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import ProbCurvePoint, prob_curve
 from .errors import ConfigError, MdlassoError
-from .penalty import min_coefficients
-from .sim import (ExperimentConfig, ProbCurvePoint, TrialRecord, prob_curve,
-                  run_experiment, run_trial)
+from .sim import ExperimentConfig, TrialRecord, run_experiment, run_trial
 
 _ENV_SEED = "MDLASSO_SEED"
 
@@ -196,10 +195,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_prob_curve(args) -> int:
     if args.steps < 2:
         raise ConfigError("--steps must be >= 2")
-    if not (0.0 < args.eps_min < args.eps_max < 1.0):
-        raise ConfigError("need 0 < eps-min < eps-max < 1")
+    if not args.eps_min < args.eps_max:
+        raise ConfigError("need eps-min < eps-max")
     grid = np.linspace(args.eps_min, args.eps_max, args.steps)
-    points = prob_curve(args.n, args.p, args.tau, args.beta, grid)
+    try:
+        points = prob_curve(args.n, args.p, args.tau, args.beta, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     emit_prob_curve_csv(points, args.out)
     print(f"wrote {len(points)} rows to {args.out}")
     return 0
@@ -209,9 +211,7 @@ def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
     rec = run_trial(cfg, 0)
     report, cert = rec.report, rec.certificate
-    bc = cert.config
-    coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps,
-                              rec.sigma2)
+    bc, coeffs = cert.config, cert.minimums
     items = [
         ("n", cfg.n), ("p", cfg.p),
         ("lambda", bc.order.lam), ("beta", bc.beta),

@@ -25,7 +25,7 @@ from .lasso import LassoProblem, SolveReport, solve
 from .model import DivergenceOrder, GaussianLinearModel
 from .penalty import min_coefficients
 from .seeding import substream
-from .typical_set import is_typical, prob_lower_bounds
+from .typical_set import is_typical
 
 DEFAULT_SPARSITY = 10
 DEFAULT_MAGNITUDE = 1.0
@@ -37,10 +37,7 @@ def snr_to_sigma2(theta_star: np.ndarray, cov: np.ndarray, snr: float) -> float:
         raise ValueError(f"snr must be positive, got {snr}")
     theta_star = np.asarray(theta_star, dtype=np.float64).reshape(-1)
     cov = np.asarray(cov, dtype=np.float64)
-    return _energy_to_sigma2(float(theta_star @ (cov @ theta_star)), snr)
-
-
-def _energy_to_sigma2(energy: float, snr: float) -> float:
+    energy = float(theta_star @ (cov @ theta_star))
     if energy <= 0.0:
         raise ValueError("theta_star must be non-zero to target an SNR")
     return energy / snr
@@ -51,8 +48,9 @@ def default_theta_star(p: int, sparsity: int = DEFAULT_SPARSITY,
     """k-sparse coefficient vector: equal magnitudes on the first k coordinates."""
     if not 1 <= sparsity <= p:
         raise ValueError(f"sparsity must lie in [1, {p}], got {sparsity}")
-    if magnitude == 0.0:
-        raise ValueError("magnitude must be non-zero")
+    if magnitude == 0.0 or not math.isfinite(magnitude):
+        raise ValueError(
+            f"magnitude must be finite and non-zero, got {magnitude}")
     theta = np.zeros(p)
     theta[:sparsity] = magnitude
     return theta
@@ -64,7 +62,8 @@ class ExperimentConfig:
 
     Construction sets ``theta_star`` to ``default_theta_star`` (``sparsity``
     defaults to min(10, p)) and derives whichever of ``snr`` and ``sigma2``
-    is not given. The feature covariance is the identity.
+    is not given; both must come out finite and positive. The feature
+    covariance is the identity.
     """
 
     n: int
@@ -101,9 +100,12 @@ class ExperimentConfig:
         theta.setflags(write=False)
         energy = float(theta @ theta)
         if self.sigma2 is None:
-            sigma2, snr = _energy_to_sigma2(energy, self.snr), float(self.snr)
+            sigma2, snr = energy / self.snr, float(self.snr)
         else:
             sigma2, snr = float(self.sigma2), energy / self.sigma2
+        if not (0.0 < sigma2 < math.inf and 0.0 < snr < math.inf):
+            raise ValueError(f"sigma2={sigma2} and snr={snr} must both be "
+                             f"finite and positive")
         for name, value in (("theta_star", theta), ("sigma2", sigma2), ("snr", snr)):
             object.__setattr__(self, name, value)
 
@@ -201,41 +203,3 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Experiment
         typical_fraction=sum(r.typical for r in records) / cfg.num_trials,
     )
     return records, summary
-
-
-@dataclass(frozen=True)
-class ProbCurvePoint:
-    """Probability floor and its bound-chain components at one eps."""
-
-    eps: float
-    floor_exact: float
-    floor_linear: float
-    floor_simplified: float
-    floor: float
-    vacuous: bool
-
-
-def prob_curve(n: int, p: int, tau: float, beta: float,
-               eps_grid: np.ndarray) -> list[ProbCurvePoint]:
-    """Probability floor exact_product - exp(-tau n beta) over an eps grid.
-
-    Floors below zero are clamped to 0 and flagged vacuous.
-    """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    points = []
-    tau_term = math.exp(-tau * n * beta)
-    for eps in np.asarray(eps_grid, dtype=np.float64):
-        triple = prob_lower_bounds(n, p, float(eps))
-        raw = triple.exact_product - tau_term
-        points.append(ProbCurvePoint(
-            eps=float(eps),
-            floor_exact=triple.exact_product,
-            floor_linear=triple.linearized,
-            floor_simplified=triple.simplified,
-            floor=max(0.0, raw),
-            vacuous=raw < 0.0 or triple.vacuous,
-        ))
-    return points

@@ -33,12 +33,14 @@ class ProbBoundTriple:
     """The three nested lower bounds on the typical-set probability.
 
     ``exact_product`` is clamped to 0 (and ``vacuous`` set) when the
-    per-column factor 1 - 2 e^{-D} is negative, since a probability lower
-    bound below zero carries no information. ``linearized`` and
-    ``simplified`` may be negative.
+    per-column factor 1 - 2 e^{-D} is not positive, since a probability
+    lower bound below zero carries no information; ``log_exact_product`` =
+    p log(1 - 2 e^{-D}) is then -inf. ``linearized`` and ``simplified`` may
+    be negative.
     """
 
     exact_product: float
+    log_exact_product: float
     linearized: float
     simplified: float
     vacuous: bool
@@ -95,17 +97,12 @@ def prob_lower_bounds(n: int, p: int, eps: float) -> ProbBoundTriple:
         raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    d_upper = sanov_exponent(n, eps, "upper")
-    tail = 2.0 * math.exp(-d_upper)
-    if tail >= 1.0:
-        exact = 0.0
-        vacuous = True
-    else:
-        exact = math.exp(p * math.log1p(-tail))
-        vacuous = False
-    linearized = 1.0 - p * tail
+    tail = 2.0 * math.exp(-sanov_exponent(n, eps, "upper"))
+    vacuous = tail >= 1.0
+    log_exact = -math.inf if vacuous else p * math.log1p(-tail)
     simplified = 1.0 - 2.0 * p * math.exp(-n * eps ** 2 / 7.0)
-    return ProbBoundTriple(exact, linearized, simplified, vacuous)
+    return ProbBoundTriple(math.exp(log_exact), log_exact, 1.0 - p * tail,
+                           simplified, vacuous)
 
 
 class GammaTailResult(NamedTuple):

@@ -12,7 +12,7 @@ from mdlasso.bounds import (BoundConfig, alpha_bound_at_probability,
 from mdlasso.divergences import AlphaOrder
 from mdlasso.errors import (InsufficientAcceptanceError,
                             InvalidCertificateError, InvalidOrderError)
-from mdlasso.lasso import LassoProblem, objective, solve
+from mdlasso.lasso import LassoProblem, solve
 from mdlasso.model import DivergenceOrder, GaussianLinearModel
 from mdlasso.penalty import PenaltyCoefficients, min_coefficients
 from mdlasso.seeding import substream
@@ -69,14 +69,6 @@ class TestRegretMainTerm:
 
 
 class TestRegretCertificate:
-    def test_floor_matches_chain_exactly(self):
-        model, prob, cfg = small_instance(seed=3)
-        cert = regret_certificate(prob, model, cfg)
-        triple = prob_lower_bounds(prob.n, prob.p, cfg.eps)
-        want = triple.exact_product - math.exp(-cfg.tau * prob.n * cfg.beta)
-        assert cert.probability_floor == pytest.approx(max(0.0, want), abs=1e-12)
-        assert cert.bound == pytest.approx(cert.main_term + cfg.tau, rel=1e-14)
-
     def test_large_tau_floor_approaches_exact_product(self):
         model, prob, _ = small_instance(seed=4)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 100.0)
@@ -209,14 +201,6 @@ class TestAlphaRiskBound:
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
         with pytest.raises(InvalidCertificateError, match="1/e"):
             alpha_risk_bound(1.0, cfg, AlphaOrder(0.0), 20, 1000)
-
-    def test_decreasing_in_probability(self):
-        a = AlphaOrder(0.2)
-        grid = np.linspace(math.exp(-1.0) + 1e-3, 1.0, 100)
-        vals = [alpha_bound_at_probability(0.7, 0.55, a, float(x))
-                for x in grid]
-        assert all(later <= earlier + 1e-12
-                   for earlier, later in zip(vals, vals[1:]))
 
 
 class TestHellingerRegretBound:

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from mdlasso import cli, verify
-from mdlasso.bounds import regret_certificate
+from mdlasso.bounds import prob_curve, regret_certificate
 from mdlasso.cli import (emit_csv, emit_prob_curve_csv, main, parse_config)
 from mdlasso.errors import ConfigError
 from mdlasso.lasso import LassoProblem, solve
 from mdlasso.penalty import min_coefficients
 from mdlasso.seeding import substream
-from mdlasso.sim import TrialRecord, prob_curve
+from mdlasso.sim import TrialRecord
 from mdlasso.typical_set import is_typical
 
 MINIMAL = "n = 50\np = 20\nsnr = 1.5\nseed = 42\n"
@@ -197,6 +197,34 @@ class TestSubcommands:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def assert_config_error(self, capsys, argv, out):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", [
+        "snr = inf", "sigma2 = inf", "snr = 1e-320", "sigma2 = 1e-320",
+        "snr = 1\nmagnitude = nan", "sigma2 = 1\nmagnitude = nan"])
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
+                                                 noise):
+        cfg = self.write_config(tmp_path, f"n = 20\np = 5\nseed = 1\n{noise}\n")
+        out = tmp_path / "x.csv"
+        self.assert_config_error(
+            capsys, ["simulate", "--config", cfg, "--out", str(out)], out)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau", "-1"), ("--tau", "nan"), ("--n", "0"), ("--beta", "1.5"),
+        ("--eps-min", "0"), ("--eps-max", "1")])
+    def test_prob_curve_range_errors(self, tmp_path, capsys, flag, value):
+        args = {"--n": "50", "--p": "20", "--tau": "0.2", "--beta": "0.5",
+                "--eps-min": "0.1", "--eps-max": "0.9", flag: value}
+        out = tmp_path / "curve.csv"
+        argv = ["prob-curve", "--steps", "5", "--out", str(out)]
+        for key, val in args.items():
+            argv += [key, val]
+        self.assert_config_error(capsys, argv, out)
 
     def test_verify_wiring(self, capsys, monkeypatch):
         def passes():

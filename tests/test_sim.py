@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from mdlasso.bounds import prob_curve
 from mdlasso.cli import CONFIG_KEYS, parse_config
 from mdlasso.divergences import bhattacharyya
 from mdlasso.model import GaussianLinearModel
-from mdlasso.sim import (ExperimentConfig, default_theta_star, prob_curve,
-                         run_experiment, run_trial, snr_to_sigma2)
+from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
+                         run_trial, snr_to_sigma2)
 from mdlasso.typical_set import prob_lower_bounds
 
 SMALL = dict(n=50, p=20, eps=0.9, tau=0.2, sparsity=5)
@@ -158,6 +159,13 @@ class TestProbCurve:
         pts = prob_curve(200, 1000, 0.03, 0.5, grid)
         floors = [pt.floor for pt in pts]
         assert all(b >= a - 1e-12 for a, b in zip(floors, floors[1:]))
+
+    def test_simplified_floor_closed_form(self):
+        # 1 - 2p e^{-n eps^2 / 7} - e^{-tau n beta}, positive at eps = 0.9
+        pt = prob_curve(200, 1000, 0.03, 0.5, np.array([0.9]))[0]
+        want = 1.0 - 2000.0 * math.exp(-200 * 0.81 / 7.0) - math.exp(-3.0)
+        assert pt.simplified_floor == pytest.approx(want, rel=1e-12)
+        assert 0.0 < pt.simplified_floor < pt.floor
 
     def test_small_eps_clamped_vacuous(self):
         pts = prob_curve(200, 1000, 0.03, 0.5, np.array([0.01]))
