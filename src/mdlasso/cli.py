@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-simulate    --config <path> --out <csv>   run an experiment, write trial CSV
+simulate    --config <path> --out <csv>   run an experiment, write trial CSV;
+                                          name each non-converged trial on stderr
 prob-curve  --n --p --tau --beta --eps-min --eps-max --steps --out <csv>
 bounds      --config <path>               print one trial's regret certificate
 verify                                    run the library's invariant suite
@@ -183,6 +184,12 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     records, summary = run_experiment(cfg)
     emit_csv(records, args.out)
+    for r in records:
+        if not r.converged:
+            print(f"trial {r.trial_index} did not converge: "
+                  f"{r.report.iterations} iterations, "
+                  f"kkt_residual {_fmt(r.report.kkt_residual)}",
+                  file=sys.stderr)
     print(f"trials={summary.num_trials} converged={summary.num_converged} "
           f"dominated={summary.num_dominated} "
           f"dominance_fraction={_fmt(summary.dominance_fraction)} "

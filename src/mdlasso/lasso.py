@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .penalty import PenaltyCoefficients, empirical_weights, weighted_l1
+from .penalty import PenaltyCoefficients, column_mean_squares, weighted_l1
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
@@ -32,12 +32,17 @@ _STEP_HEADROOM = 1e-6  # guards against power-iteration underestimating L
 
 @dataclass(frozen=True, eq=False)
 class LassoProblem:
-    """Design, response, noise variance, and penalty coefficients."""
+    """Design, response, noise variance, and penalty coefficients.
+
+    ``mean_sq`` holds the design's column mean squares and ``w`` their
+    square roots, the penalty weights; ``is_typical`` can reuse the former.
+    """
 
     X: np.ndarray
     Y: np.ndarray
     sigma2: float
     coeffs: PenaltyCoefficients
+    mean_sq: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -50,8 +55,9 @@ class LassoProblem:
                 f"Y has {Y.shape[0]} entries but X has {X.shape[0]} rows")
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        w = empirical_weights(X)  # rejects all-zero columns
-        for name, val in (("X", X), ("Y", Y), ("w", w)):
+        mean_sq = column_mean_squares(X)  # rejects all-zero columns
+        for name, val in (("X", X), ("Y", Y), ("mean_sq", mean_sq),
+                          ("w", np.sqrt(mean_sq))):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "sigma2", float(self.sigma2))

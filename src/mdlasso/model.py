@@ -17,6 +17,7 @@ is exactly n times the single-sample value.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -59,12 +60,17 @@ class GaussianLinearModel:
     skipped, and the divergences use tb in place of cov @ tb. The two are
     numerically equal; only the sign of a zero entry may differ (I @ tb
     turns -0.0 into +0.0).
+
+    ``cov=None`` (the default) is the identity with no p x p array behind
+    it: ``cov`` and ``sqrt_cov`` stay None, and only ``tilted``,
+    ``renyi_hess`` and ``hessian_bound_gap``, whose results are p x p
+    matrices, build one when they are called.
     """
 
     theta_star: np.ndarray
     sigma2: float
-    cov: np.ndarray
-    sqrt_cov: np.ndarray = field(init=False, repr=False)
+    cov: Optional[np.ndarray] = None
+    sqrt_cov: Optional[np.ndarray] = field(init=False, repr=False)
     identity_cov: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,18 +79,21 @@ class GaussianLinearModel:
             raise ValueError("theta_star must be non-empty")
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        cov = np.asarray(self.cov, dtype=np.float64)
-        identity = _is_identity(cov, theta.size)  # exactly symmetric already
+        cov = root = None
+        identity = self.cov is None
         if not identity:
-            cov = check_symmetric(cov, "feature covariance")
-            if cov.shape[0] != theta.size:
-                raise ValueError(
-                    f"covariance is {cov.shape[0]}x{cov.shape[0]} but "
-                    f"theta_star has length {theta.size}")
-            # an asymmetry within tolerance can symmetrize to exactly I
-            identity = _is_identity(cov, theta.size)
-        cov = _readonly(cov)
-        root = cov if identity else _readonly(sqrt_sym(cov))
+            cov = np.asarray(self.cov, dtype=np.float64)
+            identity = _is_identity(cov, theta.size)  # exactly symmetric already
+            if not identity:
+                cov = check_symmetric(cov, "feature covariance")
+                if cov.shape[0] != theta.size:
+                    raise ValueError(
+                        f"covariance is {cov.shape[0]}x{cov.shape[0]} but "
+                        f"theta_star has length {theta.size}")
+                # an asymmetry within tolerance can symmetrize to exactly I
+                identity = _is_identity(cov, theta.size)
+            cov = _readonly(cov)
+            root = cov if identity else _readonly(sqrt_sym(cov))
         object.__setattr__(self, "theta_star", _readonly(theta))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "cov", cov)
@@ -156,9 +165,14 @@ def _displacement(model: GaussianLinearModel, theta: np.ndarray) -> np.ndarray:
 
 
 def _times_cov(model: GaussianLinearModel, v: np.ndarray,
-               matrix: np.ndarray) -> np.ndarray:
+               matrix: Optional[np.ndarray]) -> np.ndarray:
     """matrix @ v for matrix cov or sqrt_cov; v itself when both are I."""
     return v if model.identity_cov else matrix @ v
+
+
+def _cov_matrix(model: GaussianLinearModel) -> np.ndarray:
+    """The feature covariance as a p x p array, built when ``cov`` is None."""
+    return np.eye(model.dim) if model.cov is None else model.cov
 
 
 def displacement_energy(model: GaussianLinearModel, theta: np.ndarray) -> float:
@@ -176,7 +190,7 @@ def tilted(model: GaussianLinearModel, theta: np.ndarray,
     tbp = _times_cov(model, tb, model.sqrt_cov)
     t = float(tbp @ tbp)
     u = _times_cov(model, tb, model.cov)
-    cov_tilted = model.cov - np.outer(u, u) / (c + t)
+    cov_tilted = _cov_matrix(model) - np.outer(u, u) / (c + t)
     return TiltedGaussian(
         scale=c,
         displacement=tbp,
@@ -227,7 +241,7 @@ def renyi_hess(model: GaussianLinearModel, theta: np.ndarray,
     t = float(tb @ u)
     a = (lam / model.sigma2) * (c / (c + t))
     b = (2.0 * lam / model.sigma2) * (c / (c + t) ** 2)
-    return a * model.cov - b * np.outer(u, u)
+    return a * _cov_matrix(model) - b * np.outer(u, u)
 
 
 def hessian_bound_gap(model: GaussianLinearModel, theta: np.ndarray,
@@ -240,6 +254,6 @@ def hessian_bound_gap(model: GaussianLinearModel, theta: np.ndarray,
     -1e-8 numerical tolerance) certifies the domination at theta.
     """
     lam = order.lam
-    gap_matrix = (lam / (8.0 * model.sigma2)) * model.cov \
+    gap_matrix = (lam / (8.0 * model.sigma2)) * _cov_matrix(model) \
         + renyi_hess(model, theta, order)
     return min_eigenvalue(gap_matrix)

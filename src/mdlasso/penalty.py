@@ -30,8 +30,8 @@ from .model import DivergenceOrder
 from .seeding import substream
 
 
-def empirical_weights(X: np.ndarray) -> np.ndarray:
-    """Column root-mean-squares w_j = sqrt((1/n) sum_i x_ij^2).
+def column_mean_squares(X: np.ndarray) -> np.ndarray:
+    """Column mean squares (1/n) sum_i x_ij^2, the squared weights w_j^2.
 
     Raises
     ------
@@ -41,11 +41,19 @@ def empirical_weights(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
-    w = np.sqrt(np.mean(X ** 2, axis=0))
-    if not np.all(w > 0.0):
-        dead = int(np.argmin(w))
+    mean_sq = np.mean(X ** 2, axis=0)
+    if not np.all(mean_sq > 0.0):
+        dead = int(np.argmin(mean_sq))
         raise ValueError(f"column {dead} of the design matrix is identically zero")
-    return w
+    return mean_sq
+
+
+def empirical_weights(X: np.ndarray) -> np.ndarray:
+    """Column root-mean-squares w_j = sqrt((1/n) sum_i x_ij^2).
+
+    Raises ValueError as ``column_mean_squares`` does.
+    """
+    return np.sqrt(column_mean_squares(X))
 
 
 def population_weights(cov: np.ndarray) -> np.ndarray:

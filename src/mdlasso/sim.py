@@ -10,10 +10,16 @@ distance (in the [0,1]-normalized convention; numerically this equals the
 whether the bound dominated the divergence.
 
 Trials are reproducible: trial i draws from the (seed, i) substream, so
-records are bit-identical regardless of evaluation order.
+records are bit-identical regardless of evaluation order or of the process
+that evaluates them. ``run_experiment`` therefore runs its trials in forked
+worker processes, one per CPU this process may run on (at most one per
+trial), and runs them in-process when that is one, when the platform
+cannot fork, or when the caller is itself a daemonic pool worker.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,7 +69,7 @@ class ExperimentConfig:
     Construction sets ``theta_star`` to ``default_theta_star`` (``sparsity``
     defaults to min(10, p)) and derives whichever of ``snr`` and ``sigma2``
     is not given; both must come out finite and positive. The feature
-    covariance is the identity.
+    covariance is the identity, which the model holds as ``cov=None``.
     """
 
     n: int
@@ -113,7 +119,7 @@ class ExperimentConfig:
         return BoundConfig(DivergenceOrder(self.lam), self.beta, self.eps, self.tau)
 
     def build_model(self) -> GaussianLinearModel:
-        return GaussianLinearModel(self.theta_star, self.sigma2, np.eye(self.p))
+        return GaussianLinearModel(self.theta_star, self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         d_bhatta=d05,
         two_hellinger_sq=two_h2,
         regret_bound=cert.bound,
-        typical=is_typical(X, model.cov, bc.eps),
+        typical=is_typical(X, model.cov, bc.eps, mean_sq=prob.mean_sq),
         dominated=cert.bound >= d05,
         converged=report.converged,
         report=report,
@@ -182,14 +188,72 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     )
 
 
+def _worker_count(num_trials: int) -> int:
+    """CPUs this process may run on, capped at ``num_trials``.
+
+    1 without fork, and in a daemonic process such as a ``multiprocessing``
+    pool worker, which may not start children.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+            or (mp is not None and mp.current_process().daemon)):
+        return 1
+    return min(len(os.sched_getaffinity(0)), num_trials)
+
+
+_forked_context = None  # (cfg, model); set only in pool workers, by _enter_worker
+
+
+def _enter_worker(cfg: ExperimentConfig, model: GaussianLinearModel) -> None:
+    global _forked_context
+    _forked_context = (cfg, model)
+
+
+def _forked_trial(trial_index: int) -> TrialRecord:
+    cfg, model = _forked_context
+    return run_trial(cfg, trial_index, model=model)
+
+
+def _run_trials(cfg: ExperimentConfig,
+                model: GaussianLinearModel) -> list[TrialRecord]:
+    """Every trial's record, in trial order.
+
+    With more than one worker the trials run in a fork-started pool: the
+    workers inherit ``cfg``, ``model`` and any patched module state through
+    fork, only trial indices and records cross the pipes, and an exception
+    in a worker is re-raised here with its type. A spawned worker would
+    instead import numpy and this package afresh, which takes about a third
+    of the time of 100 trials at SNR 0.5. Each worker takes one
+    contiguous block of trials, because every further hand-off costs CPU:
+    at n=200, p=1000, SNR 0.5 on a 2-vCPU guest, one trial per task took
+    42% more CPU than the serial loop and one block per worker 7% more.
+    The pool is joined before this returns, so the workers' CPU time is
+    counted to this process's reaped children.
+    """
+    num_trials = cfg.num_trials
+    workers = _worker_count(num_trials)
+    if workers == 1:
+        return [run_trial(cfg, i, model=model) for i in range(num_trials)]
+    import multiprocessing  # ~8 ms, paid only by runs that start a pool
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_enter_worker,
+                  initargs=(cfg, model)) as pool:
+        records = pool.map(_forked_trial, range(num_trials),
+                           chunksize=-(-num_trials // workers))
+        pool.close()
+        pool.join()
+    return records
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], ExperimentSummary]:
     """All trials of a configuration plus dominance/ratio aggregates.
 
     Non-converged trials are kept in the record list (flagged) but excluded
-    from the dominance and ratio aggregates.
+    from the dominance and ratio aggregates. The trials run in parallel as
+    described in the module docstring; the records do not depend on it.
     """
     model = cfg.build_model()
-    records = [run_trial(cfg, i, model=model) for i in range(cfg.num_trials)]
+    records = _run_trials(cfg, model)
     good = [r for r in records if r.converged]
     dominated = sum(r.dominated for r in good)
     ratios = [r.regret_bound / r.two_hellinger_sq

@@ -19,7 +19,7 @@ simplification of D/n on all of (0, 1].
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,25 +46,33 @@ class ProbBoundTriple:
     vacuous: bool
 
 
-def is_typical(X: np.ndarray, cov: np.ndarray, eps: float) -> bool:
+def is_typical(X: np.ndarray, cov: Optional[np.ndarray], eps: float,
+               mean_sq: Optional[np.ndarray] = None) -> bool:
     """True iff every column mean square of X is within relative eps of cov_jj.
 
     The interval is closed: a ratio exactly equal to 1 +/- eps is typical.
+    ``cov`` is a matrix, its diagonal, or None for the identity. ``mean_sq``,
+    when given, must be X's column mean squares ``np.mean(X ** 2, axis=0)``
+    (as ``LassoProblem.mean_sq`` holds them); they are then not recomputed.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
-    cov = np.asarray(cov, dtype=np.float64)
-    diag = np.diag(cov) if cov.ndim == 2 else cov.reshape(-1)
-    if diag.size != X.shape[1]:
-        raise ValueError(
-            f"covariance has {diag.size} diagonal entries, design has "
-            f"{X.shape[1]} columns")
-    if not np.all(diag > 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    ratio = np.mean(X ** 2, axis=0) / diag
+    if mean_sq is None:
+        mean_sq = np.mean(X ** 2, axis=0)
+    ratio = mean_sq
+    if cov is not None:
+        cov = np.asarray(cov, dtype=np.float64)
+        diag = np.diag(cov) if cov.ndim == 2 else cov.reshape(-1)
+        if diag.size != X.shape[1]:
+            raise ValueError(
+                f"covariance has {diag.size} diagonal entries, design has "
+                f"{X.shape[1]} columns")
+        if not np.all(diag > 0.0):
+            raise ValueError("covariance diagonal must be strictly positive")
+        ratio = mean_sq / diag
     return bool(np.all(ratio >= 1.0 - eps) and np.all(ratio <= 1.0 + eps))
 
 

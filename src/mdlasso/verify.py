@@ -319,7 +319,7 @@ def check_lasso_paper_scale():
     rng = substream(117)
     theta_star = sim.default_theta_star(1000)
     sigma2 = sim.snr_to_sigma2(theta_star, np.eye(1000), 1.5)
-    model = GaussianLinearModel(theta_star, sigma2, np.eye(1000))
+    model = GaussianLinearModel(theta_star, sigma2)
     X = model.draw_features(rng, 200)
     Y = model.draw_response(rng, X)
     coeffs = penalty.min_coefficients(200, 1000, DivergenceOrder(0.5), 0.5, 0.5, sigma2)
@@ -366,6 +366,7 @@ def check_sim_determinism():
     first = [sim.run_trial(cfg, i) for i in range(4)]
     again = [sim.run_trial(cfg, i) for i in reversed(range(4))][::-1]
     assert first == again
+    assert sim.run_experiment(cfg)[0] == first  # pooled on more than one CPU
 
 
 def check_sim_hellinger_chain():

@@ -16,7 +16,7 @@ from mdlasso.lasso import LassoProblem, solve
 from mdlasso.model import DivergenceOrder, GaussianLinearModel
 from mdlasso.penalty import PenaltyCoefficients, min_coefficients
 from mdlasso.seeding import substream
-from mdlasso.typical_set import prob_lower_bounds
+from mdlasso.typical_set import is_typical, prob_lower_bounds
 
 
 def small_instance(seed=0, n=40, p=8, snr=1.5, lam=0.5, beta=0.5, eps=0.5,
@@ -151,6 +151,17 @@ class TestRiskBoundRhs:
                              num_mc=200, seed=13)
         noise = 3 * math.hypot(est.std_error, est.renyi_std_error)
         assert est.value >= est.renyi_mean - noise
+
+    def test_accepts_exactly_the_typical_draws(self):
+        n, p = 40, 20
+        model = GaussianLinearModel(np.zeros(p), 1.0)
+        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
+        coeffs = min_coefficients(n, p, cfg.order, cfg.beta, cfg.eps, 1.0)
+        gen = self.make_generator(model, n, coeffs)
+        est = risk_bound_rhs(model, cfg, gen, num_mc=100, seed=15)
+        typical = sum(is_typical(gen(substream(15, i)).X, None, cfg.eps)
+                      for i in range(100))
+        assert est.accepted == typical and 10 <= typical < 100
 
     def test_insufficient_acceptance(self):
         n, p = 10, 40  # tiny n, many columns: typicality is very unlikely

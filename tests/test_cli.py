@@ -129,6 +129,30 @@ class TestSubcommands:
         assert len(lines) == 6  # header + 5 trials
         assert "dominance_fraction" in capsys.readouterr().out
 
+    def test_simulate_names_non_converged_trials(self, tmp_path, capsys):
+        # the absolute KKT stop: rounding keeps the residual above 1e-6
+        text = ("n = 20\np = 5\nsigma2 = 1\nmagnitude = 1e10\nseed = 1\n"
+                "num_trials = 2\n")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", self.write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "trial 0 did not converge", "trial 1 did not converge"]
+        assert all(": 10000 iterations, kkt_residual " in line
+                   for line in lines)
+        assert captured.out.startswith("trials=2 converged=0 dominated=0 ")
+        assert len(captured.out.splitlines()) == 2
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_simulate_converged_run_is_silent_on_stderr(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", self.write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_simulate_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out1 = tmp_path / "a.csv"

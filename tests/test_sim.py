@@ -2,19 +2,32 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mdlasso import sim
 from mdlasso.bounds import prob_curve
-from mdlasso.cli import CONFIG_KEYS, parse_config
+from mdlasso.cli import CONFIG_KEYS, emit_csv, main, parse_config
 from mdlasso.divergences import bhattacharyya
-from mdlasso.model import GaussianLinearModel
+from mdlasso.errors import NumericalFailureError
+from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
+                           hessian_bound_gap, renyi_hess, tilted)
 from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
                          run_trial, snr_to_sigma2)
-from mdlasso.typical_set import prob_lower_bounds
+from mdlasso.seeding import substream
+from mdlasso.typical_set import is_typical, prob_lower_bounds
 
 SMALL = dict(n=50, p=20, eps=0.9, tau=0.2, sparsity=5)
+# trials 2, 7, 8, 10 and 11 return theta = 0 after 0 iterations, the rest iterate
+MIXED_DOC = ("n = 50\np = 20\neps = 0.9\ntau = 0.2\nsparsity = 5\n"
+             "seed = 11\nsnr = 5\nnum_trials = 12\n")
+can_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="the trial pool needs fork and sched_getaffinity")
 
 
 class TestSnrToSigma2:
@@ -115,6 +128,16 @@ class TestRunTrial:
         assert rec.report.converged == rec.converged
         assert rec.report.iterations > 0
 
+    def test_typical_flag_matches_a_fresh_membership_test(self):
+        cfg = ExperimentConfig(n=40, p=20, seed=11, snr=5.0, eps=0.5,
+                               tau=0.2, sparsity=5)
+        model = cfg.build_model()
+        flags = [is_typical(model.draw_features(substream(cfg.seed, i), cfg.n),
+                            None, cfg.eps) for i in range(12)]
+        assert True in flags and False in flags
+        assert [run_trial(cfg, i, model=model).typical
+                for i in range(12)] == flags
+
     def test_report_and_certificate_outside_equality(self):
         cfg = ExperimentConfig(seed=11, snr=1.5, num_trials=1, **SMALL)
         a, b = run_trial(cfg, 0), run_trial(cfg, 0)
@@ -145,6 +168,120 @@ class TestRunExperiment:
         assert summary.num_trials == 20
         assert summary.num_dominated == sum(r.dominated for r in records
                                             if r.converged)
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def trial_pids(monkeypatch, tmp_path):
+    """Make ``run_trial`` log the id of the process that runs it; return
+    a reader of the ids logged so far."""
+    log = tmp_path / "pids"
+    log.write_text("")
+    real = sim.run_trial
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_trial", logged)
+    return lambda: set(map(int, log.read_text().split()))
+
+
+@can_fork
+class TestTrialPool:
+    def test_one_cpu_runs_in_process(self, monkeypatch, tmp_path):
+        cpus(monkeypatch, 1)
+        pids = trial_pids(monkeypatch, tmp_path)
+        records, _ = run_experiment(parse_config(MIXED_DOC))
+        assert len(records) == 12
+        assert pids() == {os.getpid()}
+
+    def test_pool_matches_serial(self, monkeypatch, tmp_path):
+        cfg = parse_config(MIXED_DOC)
+        cpus(monkeypatch, 1)
+        serial, serial_summary = run_experiment(cfg)
+        cpus(monkeypatch, 3)
+        pids = trial_pids(monkeypatch, tmp_path)
+        pooled, pooled_summary = run_experiment(cfg)
+        assert os.getpid() not in pids() and 1 <= len(pids()) <= 3
+        iterations = [r.report.iterations for r in pooled]
+        assert 0 in iterations and max(iterations) > 0
+        assert pooled == serial
+        assert [r.trial_index for r in pooled] == list(range(12))
+        assert repr(pooled_summary) == repr(serial_summary)
+        for a, b in zip(pooled, serial):
+            assert a.report.theta_hat.tobytes() == b.report.theta_hat.tobytes()
+            assert a.certificate.bound == b.certificate.bound
+        emit_csv(serial, tmp_path / "serial.csv")
+        emit_csv(pooled, tmp_path / "pooled.csv")
+        assert (tmp_path / "serial.csv").read_bytes() \
+            == (tmp_path / "pooled.csv").read_bytes()
+
+    def test_worker_error_keeps_its_type(self, monkeypatch, tmp_path, capsys):
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+        real = sim.run_trial
+
+        def failing(cfg, trial_index, model=None):
+            if trial_index == 9 and os.getpid() != parent:
+                raise NumericalFailureError("trial 9 failed in a worker")
+            return real(cfg, trial_index, model=model)
+
+        monkeypatch.setattr(sim, "run_trial", failing)  # inherited via fork
+        with pytest.raises(NumericalFailureError, match="trial 9 failed"):
+            run_experiment(parse_config(MIXED_DOC))
+        assert multiprocessing.active_children() == []
+        doc = tmp_path / "run.cfg"
+        doc.write_text(MIXED_DOC)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(doc),
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: trial 9 failed in a worker"]
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_serial_inside_a_pool_worker(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        cfg = parse_config(MIXED_DOC)
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            nested = outer.apply(run_experiment, (cfg,))[0]
+        assert nested == run_experiment(cfg)[0]
+
+    def test_no_worker_outlives_the_run(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        run_experiment(parse_config(MIXED_DOC))
+        assert multiprocessing.active_children() == []
+
+
+class TestIdentityCovariance:
+    def test_trial_path_allocates_no_p_by_p_array(self):
+        cfg = ExperimentConfig(n=20, p=1000, seed=3, snr=10.0, eps=0.9,
+                               tau=0.2)
+        tracemalloc.start()
+        try:
+            model = cfg.build_model()
+            run_trial(cfg, 0, model=model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.cov is None and model.identity_cov
+        assert peak < 8 * cfg.p * cfg.p / 4  # a quarter of one p x p array
+
+    def test_matrix_results_match_an_explicit_identity(self):
+        theta_star = np.array([1.0, -2.0, 0.5])
+        implicit = GaussianLinearModel(theta_star, 0.7)
+        explicit = GaussianLinearModel(theta_star, 0.7, np.eye(3))
+        theta = np.array([0.3, 0.0, -1.0])
+        order = DivergenceOrder(0.4)
+        assert np.array_equal(tilted(implicit, theta, order).covariance,
+                              tilted(explicit, theta, order).covariance)
+        assert np.array_equal(renyi_hess(implicit, theta, order),
+                              renyi_hess(explicit, theta, order))
+        assert hessian_bound_gap(implicit, theta, order) \
+            == hessian_bound_gap(explicit, theta, order)
 
 
 class TestProbCurve:
