@@ -235,7 +235,7 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
         prob = prob_generator(substream(seed, i))
         _check_sigma2(prob, model)
         n, p = prob.n, prob.p
-        if not is_typical(prob.X, model.cov, config.eps, mean_sq=prob.mean_sq):
+        if not is_typical(prob.mean_sq, model.cov, config.eps):
             continue
         report = solve(prob)
         mains.append(regret_main_term(prob, model.theta_star, report.theta_hat))

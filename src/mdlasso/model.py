@@ -55,23 +55,22 @@ class GaussianLinearModel:
 
     Immutable after construction. ``sqrt_cov`` (the symmetric square root of
     the feature covariance) is cached at construction because every
-    divergence evaluation needs it. For an identity covariance
-    (``identity_cov``) the symmetry check and the eigendecomposition are
-    skipped, and the divergences use tb in place of cov @ tb. The two are
-    numerically equal; only the sign of a zero entry may differ (I @ tb
-    turns -0.0 into +0.0).
+    divergence evaluation needs it.
 
-    ``cov=None`` (the default) is the identity with no p x p array behind
-    it: ``cov`` and ``sqrt_cov`` stay None, and only ``tilted``,
-    ``renyi_hess`` and ``hessian_bound_gap``, whose results are p x p
-    matrices, build one when they are called.
+    The identity covariance, passed as ``cov=None`` (the default) or found
+    in an explicit matrix, is held as ``cov = sqrt_cov = None``, with no
+    p x p array behind it: the symmetry check and the eigendecomposition
+    are skipped, and the divergences use tb in place of cov @ tb. The two
+    are numerically equal; only the sign of a zero entry may differ (I @ tb
+    turns -0.0 into +0.0). Only ``tilted``, ``renyi_hess`` and
+    ``hessian_bound_gap``, whose results are p x p matrices, build the
+    identity when they are called.
     """
 
     theta_star: np.ndarray
     sigma2: float
     cov: Optional[np.ndarray] = None
     sqrt_cov: Optional[np.ndarray] = field(init=False, repr=False)
-    identity_cov: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta_star, dtype=np.float64).reshape(-1)
@@ -80,8 +79,7 @@ class GaussianLinearModel:
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         cov = root = None
-        identity = self.cov is None
-        if not identity:
+        if self.cov is not None:
             cov = np.asarray(self.cov, dtype=np.float64)
             identity = _is_identity(cov, theta.size)  # exactly symmetric already
             if not identity:
@@ -92,13 +90,15 @@ class GaussianLinearModel:
                         f"theta_star has length {theta.size}")
                 # an asymmetry within tolerance can symmetrize to exactly I
                 identity = _is_identity(cov, theta.size)
-            cov = _readonly(cov)
-            root = cov if identity else _readonly(sqrt_sym(cov))
+            if identity:
+                cov = None
+            else:
+                cov = _readonly(cov)
+                root = _readonly(sqrt_sym(cov))
         object.__setattr__(self, "theta_star", _readonly(theta))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "sqrt_cov", root)
-        object.__setattr__(self, "identity_cov", identity)
 
     @property
     def dim(self) -> int:
@@ -115,7 +115,7 @@ class GaussianLinearModel:
         start = (-buf.ctypes.data % 64) // 8
         z = buf[start:start + size].reshape(n, self.dim)
         rng.standard_normal(out=z)
-        return z if self.identity_cov else z @ self.sqrt_cov
+        return z if self.cov is None else z @ self.sqrt_cov
 
     def draw_response(self, rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
         """Responses X @ theta_star + N(0, sigma2) noise."""
@@ -167,7 +167,7 @@ def _displacement(model: GaussianLinearModel, theta: np.ndarray) -> np.ndarray:
 def _times_cov(model: GaussianLinearModel, v: np.ndarray,
                matrix: Optional[np.ndarray]) -> np.ndarray:
     """matrix @ v for matrix cov or sqrt_cov; v itself when both are I."""
-    return v if model.identity_cov else matrix @ v
+    return v if model.cov is None else matrix @ v
 
 
 def _cov_matrix(model: GaussianLinearModel) -> np.ndarray:

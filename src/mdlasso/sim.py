@@ -13,13 +13,16 @@ Trials are reproducible: trial i draws from the (seed, i) substream, so
 records are bit-identical regardless of evaluation order or of the process
 that evaluates them. ``run_experiment`` therefore runs its trials in forked
 worker processes, one per CPU this process may run on (at most one per
-trial), and runs them in-process when that is one, when the platform
-cannot fork, or when the caller is itself a daemonic pool worker.
+trial), each with a one-thread BLAS. It runs them in-process when that is
+one worker, when the platform cannot fork, when the caller runs other
+Python threads or is itself a daemonic pool worker, and when no OpenBLAS
+is found whose thread count the workers could set.
 """
 
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -180,7 +183,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         d_bhatta=d05,
         two_hellinger_sq=two_h2,
         regret_bound=cert.bound,
-        typical=is_typical(X, model.cov, bc.eps, mean_sq=prob.mean_sq),
+        typical=is_typical(prob.mean_sq, model.cov, bc.eps),
         dominated=cert.bound >= d05,
         converged=report.converged,
         report=report,
@@ -191,58 +194,92 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
 def _worker_count(num_trials: int) -> int:
     """CPUs this process may run on, capped at ``num_trials``.
 
-    1 without fork, and in a daemonic process such as a ``multiprocessing``
-    pool worker, which may not start children.
+    1 without fork; in a process that runs other Python threads, since a
+    fork copies only the calling thread and a lock another thread holds
+    stays held in the child; and in a daemonic process such as a
+    ``multiprocessing`` pool worker, which may not start children.
     """
     mp = sys.modules.get("multiprocessing")
     if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+            or threading.active_count() > 1
             or (mp is not None and mp.current_process().daemon)):
         return 1
     return min(len(os.sched_getaffinity(0)), num_trials)
 
 
-_forked_context = None  # (cfg, model); set only in pool workers, by _enter_worker
+# OpenBLAS's thread-count setter under the names its builds export
+_BLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_")
 
 
-def _enter_worker(cfg: ExperimentConfig, model: GaussianLinearModel) -> None:
-    global _forked_context
-    _forked_context = (cfg, model)
+def _blas_thread_setter():
+    """``set_num_threads`` of the OpenBLAS that numpy has loaded, or None.
+
+    The library is looked up in /proc/self/maps; None where that file, an
+    OpenBLAS library or the symbol is missing (another BLAS, for example).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    import ctypes
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                return setter
+    return None
 
 
-def _forked_trial(trial_index: int) -> TrialRecord:
-    cfg, model = _forked_context
-    return run_trial(cfg, trial_index, model=model)
+def _run_block(cfg: ExperimentConfig, model: GaussianLinearModel,
+               trials: range) -> list[TrialRecord]:
+    return [run_trial(cfg, i, model=model) for i in trials]
 
 
 def _run_trials(cfg: ExperimentConfig,
                 model: GaussianLinearModel) -> list[TrialRecord]:
     """Every trial's record, in trial order.
 
-    With more than one worker the trials run in a fork-started pool: the
-    workers inherit ``cfg``, ``model`` and any patched module state through
-    fork, only trial indices and records cross the pipes, and an exception
-    in a worker is re-raised here with its type. A spawned worker would
-    instead import numpy and this package afresh, which takes about a third
-    of the time of 100 trials at SNR 0.5. Each worker takes one
-    contiguous block of trials, because every further hand-off costs CPU:
-    at n=200, p=1000, SNR 0.5 on a 2-vCPU guest, one trial per task took
-    42% more CPU than the serial loop and one block per worker 7% more.
-    The pool is joined before this returns, so the workers' CPU time is
+    With more than one worker the trials run in a fork-started pool, one
+    contiguous block of trials per worker, and an exception in a worker is
+    re-raised here with its type. Fork, not spawn: the workers inherit the
+    imported modules, and any patched module state, instead of importing
+    numpy and this package afresh, which takes about a third of the time
+    of 100 trials at SNR 0.5. One block per worker, because every further
+    hand-off costs CPU: at n=200, p=1000, SNR 0.5 on a 2-vCPU guest, one
+    trial per task took 42% more CPU than the serial loop and one block
+    per worker 7% more. ``run_trial`` is looked up in the worker, not
+    pickled, so a replaced ``run_trial`` (a wrapper, say) is called there.
+
+    Each worker holds its BLAS to one thread, so that the pool runs as
+    many threads as workers rather than workers times BLAS threads; where
+    that cannot be done (no OpenBLAS found) the trials run in-process. The
+    pool is joined before this returns, so the workers' CPU time is
     counted to this process's reaped children.
     """
     num_trials = cfg.num_trials
     workers = _worker_count(num_trials)
-    if workers == 1:
-        return [run_trial(cfg, i, model=model) for i in range(num_trials)]
+    set_blas_threads = _blas_thread_setter() if workers > 1 else None
+    if set_blas_threads is None:
+        return _run_block(cfg, model, range(num_trials))
     import multiprocessing  # ~8 ms, paid only by runs that start a pool
+    size = -(-num_trials // workers)
+    blocks = [(cfg, model, range(start, min(start + size, num_trials)))
+              for start in range(0, num_trials, size)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_enter_worker,
-                  initargs=(cfg, model)) as pool:
-        records = pool.map(_forked_trial, range(num_trials),
-                           chunksize=-(-num_trials // workers))
+    with ctx.Pool(len(blocks), initializer=set_blas_threads,
+                  initargs=(1,)) as pool:
+        records = pool.starmap(_run_block, blocks)
         pool.close()
         pool.join()
-    return records
+    return [record for block in records for record in block]
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], ExperimentSummary]:

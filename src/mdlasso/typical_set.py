@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .penalty import column_mean_squares
 from .seeding import substream
 
 _GAMMA_CHUNK = 8192
@@ -46,30 +47,30 @@ class ProbBoundTriple:
     vacuous: bool
 
 
-def is_typical(X: np.ndarray, cov: Optional[np.ndarray], eps: float,
-               mean_sq: Optional[np.ndarray] = None) -> bool:
-    """True iff every column mean square of X is within relative eps of cov_jj.
+def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
+               eps: float) -> bool:
+    """True iff every column mean square is within relative eps of cov_jj.
 
-    The interval is closed: a ratio exactly equal to 1 +/- eps is typical.
-    ``cov`` is a matrix, its diagonal, or None for the identity. ``mean_sq``,
-    when given, must be X's column mean squares ``np.mean(X ** 2, axis=0)``
-    (as ``LassoProblem.mean_sq`` holds them); they are then not recomputed.
+    ``mean_sq`` holds the design's column mean squares (1/n) sum_i x_ij^2,
+    as ``penalty.column_mean_squares`` computes them and
+    ``LassoProblem.mean_sq`` keeps them. ``cov`` is a matrix, its diagonal,
+    or None for the identity. The interval is closed: a ratio exactly equal
+    to 1 +/- eps is typical.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
+    mean_sq = np.asarray(mean_sq, dtype=np.float64)
+    if mean_sq.ndim != 1:
+        raise ValueError(
+            f"column mean squares must be 1-D, got shape {mean_sq.shape}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if mean_sq is None:
-        mean_sq = np.mean(X ** 2, axis=0)
     ratio = mean_sq
     if cov is not None:
         cov = np.asarray(cov, dtype=np.float64)
         diag = np.diag(cov) if cov.ndim == 2 else cov.reshape(-1)
-        if diag.size != X.shape[1]:
+        if diag.size != mean_sq.size:
             raise ValueError(
                 f"covariance has {diag.size} diagonal entries, design has "
-                f"{X.shape[1]} columns")
+                f"{mean_sq.size} columns")
         if not np.all(diag > 0.0):
             raise ValueError("covariance diagonal must be strictly positive")
         ratio = mean_sq / diag
@@ -79,7 +80,7 @@ def is_typical(X: np.ndarray, cov: Optional[np.ndarray], eps: float,
 def column_is_typical(col: np.ndarray, var: float, eps: float) -> bool:
     """Single-column membership; the full test is the conjunction over columns."""
     col = np.asarray(col, dtype=np.float64).reshape(-1, 1)
-    return is_typical(col, np.array([var]), eps)
+    return is_typical(column_mean_squares(col), np.array([var]), eps)
 
 
 def sanov_exponent(n: int, eps: float, side: str) -> float:

@@ -249,7 +249,9 @@ def check_typical_set_membership_freq():
     n, p, eps = 50, 5, 0.3
     draws = 10_000
     rng = substream(112)
-    hits = sum(typical_set.is_typical(rng.standard_normal((n, p)), np.eye(p), eps)
+    hits = sum(typical_set.is_typical(
+                   penalty.column_mean_squares(rng.standard_normal((n, p))),
+                   np.eye(p), eps)
                for _ in range(draws))
     freq = hits / draws
     bound = typical_set.prob_lower_bounds(n, p, eps).exact_product
@@ -273,7 +275,7 @@ def check_typical_set_column_decomposition():
         X = rng.standard_normal((30, 4)) * rng.uniform(0.8, 1.2)
         cov = np.diag(rng.uniform(0.5, 2.0, size=4))
         eps = float(rng.uniform(0.05, 0.5))
-        whole = typical_set.is_typical(X, cov, eps)
+        whole = typical_set.is_typical(penalty.column_mean_squares(X), cov, eps)
         per_col = all(
             typical_set.column_is_typical(X[:, j], float(cov[j, j]), eps)
             for j in range(4))

@@ -14,8 +14,8 @@ from mdlasso.lasso import LassoProblem, kkt_residual, soft_threshold, solve
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            hessian_bound_gap, renyi_div, renyi_grad,
                            renyi_hess, tilt_scale)
-from mdlasso.penalty import (PenaltyCoefficients, design_ratio, kraft_sum,
-                             min_coefficients)
+from mdlasso.penalty import (PenaltyCoefficients, column_mean_squares,
+                             design_ratio, kraft_sum, min_coefficients)
 from mdlasso.seeding import substream
 from mdlasso.sim import ExperimentConfig, default_theta_star, run_experiment
 from mdlasso.typical_set import (gamma_tail_check, is_typical,
@@ -142,7 +142,8 @@ def test_criterion_6_typical_set_bounds():
     n, p, eps = 50, 5, 0.3
     rng = substream(406)
     draws = 10_000
-    hits = sum(is_typical(rng.standard_normal((n, p)), np.eye(p), eps)
+    hits = sum(is_typical(column_mean_squares(rng.standard_normal((n, p))),
+                          np.eye(p), eps)
                for _ in range(draws))
     freq = hits / draws
     bound = prob_lower_bounds(n, p, eps).exact_product

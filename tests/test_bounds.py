@@ -14,7 +14,8 @@ from mdlasso.errors import (InsufficientAcceptanceError,
                             InvalidCertificateError, InvalidOrderError)
 from mdlasso.lasso import LassoProblem, solve
 from mdlasso.model import DivergenceOrder, GaussianLinearModel
-from mdlasso.penalty import PenaltyCoefficients, min_coefficients
+from mdlasso.penalty import (PenaltyCoefficients, column_mean_squares,
+                             min_coefficients)
 from mdlasso.seeding import substream
 from mdlasso.typical_set import is_typical, prob_lower_bounds
 
@@ -159,7 +160,8 @@ class TestRiskBoundRhs:
         coeffs = min_coefficients(n, p, cfg.order, cfg.beta, cfg.eps, 1.0)
         gen = self.make_generator(model, n, coeffs)
         est = risk_bound_rhs(model, cfg, gen, num_mc=100, seed=15)
-        typical = sum(is_typical(gen(substream(15, i)).X, None, cfg.eps)
+        typical = sum(is_typical(column_mean_squares(gen(substream(15, i)).X),
+                                 None, cfg.eps)
                       for i in range(100))
         assert est.accepted == typical and 10 <= typical < 100
 

@@ -11,7 +11,7 @@ from mdlasso.bounds import prob_curve, regret_certificate
 from mdlasso.cli import (emit_csv, emit_prob_curve_csv, main, parse_config)
 from mdlasso.errors import ConfigError
 from mdlasso.lasso import LassoProblem, solve
-from mdlasso.penalty import min_coefficients
+from mdlasso.penalty import column_mean_squares, min_coefficients
 from mdlasso.seeding import substream
 from mdlasso.sim import TrialRecord
 from mdlasso.typical_set import is_typical
@@ -293,7 +293,8 @@ def reference_bounds(args) -> int:
         ("simplified_floor", cert.simplified_floor),
         ("kappa", cert.kappa),
         ("vacuous", str(cert.vacuous).lower()),
-        ("typical", str(is_typical(X, model.cov, bc.eps)).lower()),
+        ("typical", str(is_typical(column_mean_squares(X), model.cov,
+                                    bc.eps)).lower()),
         ("solver_converged", str(report.converged).lower()),
         ("solver_iterations", report.iterations),
         ("kkt_residual", report.kkt_residual),

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from mdlasso.divergences import bhattacharyya
 from mdlasso.errors import NumericalFailureError
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            hessian_bound_gap, renyi_hess, tilted)
+from mdlasso.penalty import column_mean_squares
 from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
                          run_trial, snr_to_sigma2)
 from mdlasso.seeding import substream
@@ -132,8 +134,10 @@ class TestRunTrial:
         cfg = ExperimentConfig(n=40, p=20, seed=11, snr=5.0, eps=0.5,
                                tau=0.2, sparsity=5)
         model = cfg.build_model()
-        flags = [is_typical(model.draw_features(substream(cfg.seed, i), cfg.n),
-                            None, cfg.eps) for i in range(12)]
+        draws = [model.draw_features(substream(cfg.seed, i), cfg.n)
+                 for i in range(12)]
+        flags = [is_typical(column_mean_squares(X), None, cfg.eps)
+                 for X in draws]
         assert True in flags and False in flags
         assert [run_trial(cfg, i, model=model).typical
                 for i in range(12)] == flags
@@ -250,6 +254,51 @@ class TestTrialPool:
             nested = outer.apply(run_experiment, (cfg,))[0]
         assert nested == run_experiment(cfg)[0]
 
+    def test_workers_hold_blas_to_one_thread(self, monkeypatch, tmp_path):
+        cpus(monkeypatch, 2)
+        log = tmp_path / "blas"
+        log.write_text("")
+
+        def setter(count):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {count}\n")
+
+        monkeypatch.setattr(sim, "_blas_thread_setter", lambda: setter)
+        pids = trial_pids(monkeypatch, tmp_path)
+        run_experiment(parse_config(MIXED_DOC))
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(pid) for pid, _ in calls) == sorted(pids())
+        assert len(calls) == 2 and {count for _, count in calls} == {"1"}
+
+    def test_no_blas_setter_runs_in_process(self, monkeypatch, tmp_path):
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(sim, "_blas_thread_setter", lambda: None)
+        pids = trial_pids(monkeypatch, tmp_path)
+        run_experiment(parse_config(MIXED_DOC))
+        assert pids() == {os.getpid()}
+
+    def test_other_python_thread_runs_in_process(self, monkeypatch, tmp_path):
+        cpus(monkeypatch, 2)
+        pids = trial_pids(monkeypatch, tmp_path)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            run_experiment(parse_config(MIXED_DOC))
+        finally:
+            release.set()
+            other.join()
+        assert pids() == {os.getpid()}
+
+    def test_finds_the_openblas_thread_setter(self):
+        try:
+            blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        except (AttributeError, KeyError):
+            pytest.skip("numpy does not report its BLAS")
+        if "openblas" not in blas:
+            pytest.skip(f"numpy uses {blas}, not OpenBLAS")
+        assert sim._blas_thread_setter() is not None
+
     def test_no_worker_outlives_the_run(self, monkeypatch):
         cpus(monkeypatch, 2)
         run_experiment(parse_config(MIXED_DOC))
@@ -267,7 +316,7 @@ class TestIdentityCovariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model.cov is None and model.identity_cov
+        assert model.cov is None
         assert peak < 8 * cfg.p * cfg.p / 4  # a quarter of one p x p array
 
     def test_matrix_results_match_an_explicit_identity(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mdlasso.penalty import column_mean_squares as msq
 from mdlasso.typical_set import (gamma_tail_check, is_typical,
                                  prob_lower_bounds, sanov_exponent)
 
@@ -15,31 +16,35 @@ class TestIsTypical:
         X = np.array([[1.0, 2.0], [-1.0, -2.0], [1.0, 2.0], [-1.0, 2.0]])
         cov = np.diag([1.0, 4.0])
         for eps in (1e-6, 0.1, 0.9):
-            assert is_typical(X, cov, eps)
+            assert is_typical(msq(X), cov, eps)
 
     def test_inflated_column(self):
         eps = 0.2
         X = np.ones((5, 1)) * math.sqrt(1.0 + 2 * eps)
-        assert not is_typical(X, np.eye(1), eps)
+        assert not is_typical(msq(X), np.eye(1), eps)
 
     def test_closed_boundary(self):
         # dyadic entries make the column mean squares exact in floats:
         # upper ratio (2.25 + 0.25)/2 = 1.25 = 1 + eps at eps = 0.25,
         # lower ratio (0.25 + 0.25 + 1 + 1)/4 = 0.625 = 1 - eps at eps = 0.375
         X_hi = np.array([[1.5], [0.5]])
-        assert is_typical(X_hi, np.eye(1), 0.25)
-        assert not is_typical(X_hi, np.eye(1), 0.2499999)
+        assert is_typical(msq(X_hi), np.eye(1), 0.25)
+        assert not is_typical(msq(X_hi), np.eye(1), 0.2499999)
         X_lo = np.array([[0.5], [0.5], [1.0], [1.0]])
-        assert is_typical(X_lo, np.eye(1), 0.375)
-        assert not is_typical(X_lo, np.eye(1), 0.3749999)
+        assert is_typical(msq(X_lo), np.eye(1), 0.375)
+        assert not is_typical(msq(X_lo), np.eye(1), 0.3749999)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            is_typical(np.ones((3, 2)), np.eye(3), 0.5)
+            is_typical(msq(np.ones((3, 2))), np.eye(3), 0.5)
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
-            is_typical(np.ones((3, 1)), np.zeros((1, 1)), 0.5)
+            is_typical(msq(np.ones((3, 1))), np.zeros((1, 1)), 0.5)
+
+    def test_rejects_a_design_in_place_of_mean_squares(self):
+        with pytest.raises(ValueError, match="1-D"):
+            is_typical(np.ones((3, 2)), None, 0.5)
 
 
 class TestSanovExponent:
