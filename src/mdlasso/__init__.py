@@ -17,7 +17,7 @@ from .penalty import (PenaltyCoefficients, QuantizerSpec, design_ratio,
                       kraft_sum, min_coefficients, population_weights,
                       randomize_quantize, weighted_l1)
 from .sim import (ExperimentConfig, ExperimentSummary, TrialRecord,
-                  default_theta_star, run_experiment, run_trial, snr_to_sigma2)
+                  default_theta_star, run_experiment, run_trial)
 from .typical_set import (GammaTailResult, ProbBoundTriple, gamma_tail_check,
                           is_typical, prob_lower_bounds, sanov_exponent)
 
@@ -39,6 +39,6 @@ __all__ = [
     "randomize_quantize", "regret_certificate", "regret_main_term",
     "renyi_div", "renyi_div_n", "renyi_grad", "renyi_hess", "renyi_mc",
     "risk_bound_rhs", "run_experiment", "run_trial", "sanov_exponent",
-    "sherman_morrison", "snr_to_sigma2", "soft_threshold", "solve",
+    "sherman_morrison", "soft_threshold", "solve",
     "sqrt_sym", "tilt_scale", "tilted", "weighted_l1",
 ]

@@ -27,7 +27,7 @@ P log(1/P) and (1 - P) are both decreasing, so that regime is asserted.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -140,6 +140,19 @@ def _check_sigma2(prob: LassoProblem, model: GaussianLinearModel) -> None:
             f"sigma2={model.sigma2}")
 
 
+def _check_coefficients(prob: LassoProblem,
+                        config: BoundConfig) -> PenaltyCoefficients:
+    """The problem's ``min_coefficients``; raises if its penalty falls below them."""
+    minimums = min_coefficients(prob.n, prob.p, config.order, config.beta,
+                                config.eps, prob.sigma2)
+    if not meets_minimums(prob.coeffs, minimums):
+        raise InvalidCertificateError(
+            f"penalty coefficients ({prob.coeffs.mu1:.6g}, {prob.coeffs.mu2:.6g}) "
+            f"fall below the required minimums "
+            f"({minimums.mu1:.6g}, {minimums.mu2:.6g})")
+    return minimums
+
+
 def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
                      theta_hat: np.ndarray) -> float:
     """Value of the infimum in the regret bound, evaluated at the solver output.
@@ -154,10 +167,9 @@ def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
 
 def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
                        config: BoundConfig,
-                       theta_hat: Optional[np.ndarray] = None) -> RegretCertificate:
-    """Regret bound main_term + tau and its probability floor.
-
-    Solves the problem if ``theta_hat`` is not supplied.
+                       theta_hat: np.ndarray) -> RegretCertificate:
+    """Regret bound main_term + tau at the solution ``theta_hat``, and its
+    probability floor.
 
     Raises
     ------
@@ -167,18 +179,10 @@ def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
         disagree.
     """
     _check_sigma2(prob, model)
-    n, p = prob.n, prob.p
-    minimums = min_coefficients(n, p, config.order, config.beta, config.eps,
-                                prob.sigma2)
-    if not meets_minimums(prob.coeffs, minimums):
-        raise InvalidCertificateError(
-            f"penalty coefficients ({prob.coeffs.mu1:.6g}, {prob.coeffs.mu2:.6g}) "
-            f"fall below the required minimums "
-            f"({minimums.mu1:.6g}, {minimums.mu2:.6g})")
-    if theta_hat is None:
-        theta_hat = solve(prob).theta_hat
+    minimums = _check_coefficients(prob, config)
     main = regret_main_term(prob, model.theta_star, theta_hat)
-    floor = probability_floor(n, p, config.eps, config.tau, config.beta)
+    floor = probability_floor(prob.n, prob.p, config.eps, config.tau,
+                              config.beta)
     return RegretCertificate(
         config=config,
         main_term=main,
@@ -223,8 +227,9 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
     InsufficientAcceptanceError
         If fewer than 10 draws are accepted.
     InvalidCertificateError
-        If the typical-set bound is vacuous at the problem size (the
-        closed-form penalty term would be undefined).
+        If an accepted draw's penalty coefficients fall below
+        ``min_coefficients``, or the typical-set bound is vacuous at the
+        problem size (the closed-form penalty term would be undefined).
     """
     if num_mc < 100:
         raise ValueError(f"num_mc must be >= 100, got {num_mc}")
@@ -237,6 +242,7 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
         n, p = prob.n, prob.p
         if not is_typical(prob.mean_sq, model.cov, config.eps):
             continue
+        _check_coefficients(prob, config)
         report = solve(prob)
         mains.append(regret_main_term(prob, model.theta_star, report.theta_hat))
         renyis.append(renyi_div(model, report.theta_hat, config.order))

@@ -37,12 +37,6 @@ class DivergenceOrder:
                 f"divergence order must lie in (0, 1), got {self.lam}")
 
 
-def _is_identity(a: np.ndarray, p: int) -> bool:
-    """Whether ``a`` is exactly the p x p identity, without building one."""
-    return (a.shape == (p, p) and bool(np.all(np.diagonal(a) == 1.0))
-            and int(np.count_nonzero(a)) == p)
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
@@ -57,14 +51,15 @@ class GaussianLinearModel:
     the feature covariance) is cached at construction because every
     divergence evaluation needs it.
 
-    The identity covariance, passed as ``cov=None`` (the default) or found
-    in an explicit matrix, is held as ``cov = sqrt_cov = None``, with no
-    p x p array behind it: the symmetry check and the eigendecomposition
-    are skipped, and the divergences use tb in place of cov @ tb. The two
-    are numerically equal; only the sign of a zero entry may differ (I @ tb
-    turns -0.0 into +0.0). Only ``tilted``, ``renyi_hess`` and
+    ``cov`` is None (the default) for the identity covariance, or a p x p
+    matrix. None is kept as ``cov = sqrt_cov = None``, with no p x p array
+    behind it: the draws are the plain standard normals, the divergences
+    use tb in place of cov @ tb, and only ``tilted``, ``renyi_hess`` and
     ``hessian_bound_gap``, whose results are p x p matrices, build the
-    identity when they are called.
+    identity when they are called. A matrix, the identity included, is
+    checked for symmetry, kept read-only in ``cov``, and factored by
+    ``sqrt_sym``, which costs O(p^3): a caller that means the identity
+    passes None.
     """
 
     theta_star: np.ndarray
@@ -80,21 +75,13 @@ class GaussianLinearModel:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         cov = root = None
         if self.cov is not None:
-            cov = np.asarray(self.cov, dtype=np.float64)
-            identity = _is_identity(cov, theta.size)  # exactly symmetric already
-            if not identity:
-                cov = check_symmetric(cov, "feature covariance")
-                if cov.shape[0] != theta.size:
-                    raise ValueError(
-                        f"covariance is {cov.shape[0]}x{cov.shape[0]} but "
-                        f"theta_star has length {theta.size}")
-                # an asymmetry within tolerance can symmetrize to exactly I
-                identity = _is_identity(cov, theta.size)
-            if identity:
-                cov = None
-            else:
-                cov = _readonly(cov)
-                root = _readonly(sqrt_sym(cov))
+            cov = check_symmetric(self.cov, "feature covariance")
+            if cov.shape[0] != theta.size:
+                raise ValueError(
+                    f"covariance is {cov.shape[0]}x{cov.shape[0]} but "
+                    f"theta_star has length {theta.size}")
+            cov = _readonly(cov)
+            root = _readonly(sqrt_sym(cov))
         object.__setattr__(self, "theta_star", _readonly(theta))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "cov", cov)

@@ -57,9 +57,12 @@ def empirical_weights(X: np.ndarray) -> np.ndarray:
 
 
 def population_weights(cov: np.ndarray) -> np.ndarray:
-    """Population weights w_star_j = sqrt(cov_jj)."""
+    """Population weights w_star_j = sqrt(cov_jj) of a p x p covariance."""
     cov = np.asarray(cov, dtype=np.float64)
-    diag = np.diag(cov) if cov.ndim == 2 else cov
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(
+            f"covariance must be a square matrix, got shape {cov.shape}")
+    diag = np.diag(cov)
     if not np.all(diag > 0.0):
         raise ValueError("covariance diagonal must be strictly positive")
     return np.sqrt(diag)

@@ -40,18 +40,6 @@ DEFAULT_SPARSITY = 10
 DEFAULT_MAGNITUDE = 1.0
 
 
-def snr_to_sigma2(theta_star: np.ndarray, cov: np.ndarray, snr: float) -> float:
-    """Noise variance realizing the requested SNR: theta_star^T cov theta_star / snr."""
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    theta_star = np.asarray(theta_star, dtype=np.float64).reshape(-1)
-    cov = np.asarray(cov, dtype=np.float64)
-    energy = float(theta_star @ (cov @ theta_star))
-    if energy <= 0.0:
-        raise ValueError("theta_star must be non-zero to target an SNR")
-    return energy / snr
-
-
 def default_theta_star(p: int, sparsity: int = DEFAULT_SPARSITY,
                        magnitude: float = DEFAULT_MAGNITUDE) -> np.ndarray:
     """k-sparse coefficient vector: equal magnitudes on the first k coordinates."""
@@ -71,8 +59,10 @@ class ExperimentConfig:
 
     Construction sets ``theta_star`` to ``default_theta_star`` (``sparsity``
     defaults to min(10, p)) and derives whichever of ``snr`` and ``sigma2``
-    is not given; both must come out finite and positive. The feature
-    covariance is the identity, which the model holds as ``cov=None``.
+    is not given from snr = theta_star^T theta_star / sigma2; both must come
+    out finite and positive. This is the package's one SNR-to-noise rule.
+    The feature covariance is the identity, which the model holds as
+    ``cov=None``.
     """
 
     n: int
@@ -107,7 +97,8 @@ class ExperimentConfig:
             object.__setattr__(self, "sparsity", min(DEFAULT_SPARSITY, self.p))
         theta = default_theta_star(self.p, self.sparsity, self.magnitude)
         theta.setflags(write=False)
-        energy = float(theta @ theta)
+        with np.errstate(over="ignore"):  # an infinite energy is refused below
+            energy = float(theta @ theta)
         if self.sigma2 is None:
             sigma2, snr = energy / self.snr, float(self.snr)
         else:

@@ -53,9 +53,9 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
 
     ``mean_sq`` holds the design's column mean squares (1/n) sum_i x_ij^2,
     as ``penalty.column_mean_squares`` computes them and
-    ``LassoProblem.mean_sq`` keeps them. ``cov`` is a matrix, its diagonal,
-    or None for the identity. The interval is closed: a ratio exactly equal
-    to 1 +/- eps is typical.
+    ``LassoProblem.mean_sq`` keeps them. ``cov`` is a p x p matrix, or None
+    for the identity. The interval is closed: a ratio exactly equal to
+    1 +/- eps is typical.
     """
     mean_sq = np.asarray(mean_sq, dtype=np.float64)
     if mean_sq.ndim != 1:
@@ -66,11 +66,11 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
     ratio = mean_sq
     if cov is not None:
         cov = np.asarray(cov, dtype=np.float64)
-        diag = np.diag(cov) if cov.ndim == 2 else cov.reshape(-1)
-        if diag.size != mean_sq.size:
+        if cov.shape != (mean_sq.size, mean_sq.size):
             raise ValueError(
-                f"covariance has {diag.size} diagonal entries, design has "
-                f"{mean_sq.size} columns")
+                f"covariance must be {mean_sq.size}x{mean_sq.size} for "
+                f"{mean_sq.size} columns, got shape {cov.shape}")
+        diag = np.diag(cov)
         if not np.all(diag > 0.0):
             raise ValueError("covariance diagonal must be strictly positive")
         ratio = mean_sq / diag
@@ -80,7 +80,7 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
 def column_is_typical(col: np.ndarray, var: float, eps: float) -> bool:
     """Single-column membership; the full test is the conjunction over columns."""
     col = np.asarray(col, dtype=np.float64).reshape(-1, 1)
-    return is_typical(column_mean_squares(col), np.array([var]), eps)
+    return is_typical(column_mean_squares(col), np.array([[var]]), eps)
 
 
 def sanov_exponent(n: int, eps: float, side: str) -> float:

@@ -283,13 +283,13 @@ def check_typical_set_column_decomposition():
 
 
 def _small_problem(rng, n=40, p=12, snr=2.0):
-    theta_star = sim.default_theta_star(p, sparsity=4)
-    sigma2 = sim.snr_to_sigma2(theta_star, np.eye(p), snr)
-    model = GaussianLinearModel(theta_star, sigma2, np.eye(p))
+    model = sim.ExperimentConfig(n=n, p=p, seed=0, snr=snr,
+                                 sparsity=4).build_model()
     X = model.draw_features(rng, n)
     Y = model.draw_response(rng, X)
-    coeffs = penalty.min_coefficients(n, p, DivergenceOrder(0.5), 0.5, 0.5, sigma2)
-    return model, lasso.LassoProblem(X, Y, sigma2, coeffs)
+    coeffs = penalty.min_coefficients(n, p, DivergenceOrder(0.5), 0.5, 0.5,
+                                      model.sigma2)
+    return model, lasso.LassoProblem(X, Y, model.sigma2, coeffs)
 
 
 def check_lasso_descent_and_kkt():
@@ -319,13 +319,12 @@ def check_lasso_orthonormal_closed_form():
 
 def check_lasso_paper_scale():
     rng = substream(117)
-    theta_star = sim.default_theta_star(1000)
-    sigma2 = sim.snr_to_sigma2(theta_star, np.eye(1000), 1.5)
-    model = GaussianLinearModel(theta_star, sigma2)
+    model = sim.ExperimentConfig(n=200, p=1000, seed=0, snr=1.5).build_model()
     X = model.draw_features(rng, 200)
     Y = model.draw_response(rng, X)
-    coeffs = penalty.min_coefficients(200, 1000, DivergenceOrder(0.5), 0.5, 0.5, sigma2)
-    prob = lasso.LassoProblem(X, Y, sigma2, coeffs)
+    coeffs = penalty.min_coefficients(200, 1000, DivergenceOrder(0.5), 0.5, 0.5,
+                                      model.sigma2)
+    prob = lasso.LassoProblem(X, Y, model.sigma2, coeffs)
     report = lasso.solve(prob)
     assert report.converged and report.iterations <= 5000
     assert report.kkt_residual <= 1e-6
@@ -335,7 +334,8 @@ def check_bounds_floor_identity():
     rng = substream(118)
     model, prob = _small_problem(rng, n=60, p=8, snr=1.0)
     cfg = bounds.BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
-    cert = bounds.regret_certificate(prob, model, cfg)
+    cert = bounds.regret_certificate(prob, model, cfg,
+                                     lasso.solve(prob).theta_hat)
     triple = typical_set.prob_lower_bounds(prob.n, prob.p, cfg.eps)
     want = triple.exact_product - math.exp(-cfg.tau * prob.n * cfg.beta)
     assert abs(cert.probability_floor - max(0.0, want)) <= 1e-12

@@ -226,7 +226,7 @@ def test_criterion_8_solver_correctness():
 
     theta_big = default_theta_star(1000)
     sigma2 = float(theta_big @ theta_big) / 1.5
-    model = GaussianLinearModel(theta_big, sigma2, np.eye(1000))
+    model = GaussianLinearModel(theta_big, sigma2)
     bx = model.draw_features(rng, 200)
     by = model.draw_response(rng, bx)
     coeffs = min_coefficients(200, 1000, DivergenceOrder(0.5), 0.5, 0.5, sigma2)

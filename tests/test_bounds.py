@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mdlasso import bounds as bounds_module
 from mdlasso.bounds import (BoundConfig, alpha_bound_at_probability,
                             alpha_risk_bound, hellinger_regret_bound,
                             regret_certificate, regret_main_term,
@@ -17,6 +18,7 @@ from mdlasso.model import DivergenceOrder, GaussianLinearModel
 from mdlasso.penalty import (PenaltyCoefficients, column_mean_squares,
                              min_coefficients)
 from mdlasso.seeding import substream
+from mdlasso.sim import ExperimentConfig
 from mdlasso.typical_set import is_typical, prob_lower_bounds
 
 
@@ -26,7 +28,7 @@ def small_instance(seed=0, n=40, p=8, snr=1.5, lam=0.5, beta=0.5, eps=0.5,
     theta_star = np.zeros(p)
     theta_star[:3] = 1.0
     sigma2 = float(theta_star @ theta_star) / snr
-    model = GaussianLinearModel(theta_star, sigma2, np.eye(p))
+    model = GaussianLinearModel(theta_star, sigma2)
     X = model.draw_features(rng, n)
     Y = model.draw_response(rng, X)
     coeffs = min_coefficients(n, p, DivergenceOrder(lam), beta, eps, sigma2)
@@ -73,14 +75,14 @@ class TestRegretCertificate:
     def test_large_tau_floor_approaches_exact_product(self):
         model, prob, _ = small_instance(seed=4)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 100.0)
-        cert = regret_certificate(prob, model, cfg)
+        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
         triple = prob_lower_bounds(prob.n, prob.p, cfg.eps)
         assert cert.probability_floor == pytest.approx(triple.exact_product,
                                                        abs=1e-12)
 
     def test_kappa(self):
         model, prob, cfg = small_instance(seed=5, tau=0.03)
-        cert = regret_certificate(prob, model, cfg)
+        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
         assert cert.kappa == pytest.approx(min(0.5 ** 2 / 7.0, 0.03 * 0.5))
 
     def test_rejects_insufficient_coefficients(self):
@@ -88,28 +90,33 @@ class TestRegretCertificate:
         weak = PenaltyCoefficients(prob.coeffs.mu1 * 0.5, prob.coeffs.mu2)
         bad = LassoProblem(prob.X, prob.Y, prob.sigma2, weak)
         with pytest.raises(InvalidCertificateError, match="below"):
-            regret_certificate(bad, model, cfg)
+            regret_certificate(bad, model, cfg, solve(bad).theta_hat)
 
     def test_rejects_sigma_mismatch(self):
         model, prob, cfg = small_instance(seed=7)
         other = GaussianLinearModel(model.theta_star, model.sigma2 * 2.0,
                                     model.cov)
         with pytest.raises(InvalidCertificateError, match="sigma2"):
-            regret_certificate(prob, other, cfg)
+            regret_certificate(prob, other, cfg, solve(prob).theta_hat)
 
-    def test_supplied_theta_hat_matches_internal_solve(self):
+    def test_built_from_the_given_solution_only(self, monkeypatch):
         model, prob, cfg = small_instance(seed=8)
-        report = solve(prob)
-        a = regret_certificate(prob, model, cfg)
-        b = regret_certificate(prob, model, cfg, theta_hat=report.theta_hat)
-        assert a.main_term == pytest.approx(b.main_term, rel=1e-12)
+        theta_hat = solve(prob).theta_hat
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("the certificate solved the problem")
+
+        monkeypatch.setattr(bounds_module, "solve", no_solve)
+        cert = regret_certificate(prob, model, cfg, theta_hat)
+        assert cert.main_term == regret_main_term(prob, model.theta_star,
+                                                  theta_hat)
+        with pytest.raises(TypeError):
+            regret_certificate(prob, model, cfg)
 
     def test_vacuous_flagged(self):
         model, prob, _ = small_instance(seed=9, eps=0.5)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.1, 0.03)
-        cert = regret_certificate(
-            prob, model,
-            BoundConfig(DivergenceOrder(0.5), 0.5, 0.1, 0.03))
+        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
         assert cert.vacuous
         assert cert.probability_floor == 0.0
 
@@ -124,7 +131,7 @@ class TestRiskBoundRhs:
 
     def test_zero_signal_upper_bound(self):
         n, p = 40, 6
-        model = GaussianLinearModel(np.zeros(p), 1.0, np.eye(p))
+        model = GaussianLinearModel(np.zeros(p), 1.0)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.9, 0.03)
         coeffs = min_coefficients(n, p, cfg.order, cfg.beta, cfg.eps, 1.0)
         est = risk_bound_rhs(model, cfg, self.make_generator(model, n, coeffs),
@@ -136,7 +143,7 @@ class TestRiskBoundRhs:
         # frozen arithmetic at n=200, p=1000, eps=0.5, beta=0.5:
         # -1000 log(1 - 1.5683096187181573e-4) / 100
         n, p = 200, 1000
-        model = GaussianLinearModel(np.zeros(p), 1.0, np.eye(p))
+        model = GaussianLinearModel(np.zeros(p), 1.0)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
         coeffs = min_coefficients(n, p, cfg.order, cfg.beta, cfg.eps, 1.0)
         est = risk_bound_rhs(model, cfg, self.make_generator(model, n, coeffs),
@@ -167,15 +174,25 @@ class TestRiskBoundRhs:
 
     def test_insufficient_acceptance(self):
         n, p = 10, 40  # tiny n, many columns: typicality is very unlikely
-        model = GaussianLinearModel(np.zeros(p), 1.0, np.eye(p))
+        model = GaussianLinearModel(np.zeros(p), 1.0)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.05, 0.03)
         coeffs = PenaltyCoefficients(1.0, 0.1)
         with pytest.raises(InsufficientAcceptanceError):
             risk_bound_rhs(model, cfg, self.make_generator(model, n, coeffs),
                            num_mc=100, seed=14)
 
+    def test_rejects_insufficient_coefficients(self):
+        # unchecked, these coefficients give a value below the estimate's
+        # own renyi_mean (0.360 against 0.447)
+        cfg = ExperimentConfig(n=50, p=100, seed=1, snr=2.0)
+        model = cfg.build_model()
+        gen = self.make_generator(model, cfg.n, PenaltyCoefficients(1e-3, 1e-3))
+        with pytest.raises(InvalidCertificateError, match="below"):
+            risk_bound_rhs(model, cfg.bound_config(), gen, num_mc=200,
+                           seed=cfg.seed)
+
     def test_rejects_small_num_mc(self):
-        model = GaussianLinearModel(np.zeros(2), 1.0, np.eye(2))
+        model = GaussianLinearModel(np.zeros(2), 1.0)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
         with pytest.raises(ValueError):
             risk_bound_rhs(model, cfg, lambda rng: None, num_mc=99, seed=0)
@@ -219,13 +236,13 @@ class TestAlphaRiskBound:
 class TestHellingerRegretBound:
     def test_passthrough_at_half(self):
         model, prob, cfg = small_instance(seed=15)
-        cert = regret_certificate(prob, model, cfg)
+        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
         assert hellinger_regret_bound(cert) == cert.bound
 
     def test_rejects_other_orders(self):
         model, prob, _ = small_instance(seed=16, lam=0.4, beta=0.5)
         cfg = BoundConfig(DivergenceOrder(0.4), 0.5, 0.5, 0.03)
-        cert = regret_certificate(prob, model, cfg)
+        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
         with pytest.raises(InvalidOrderError):
             hellinger_regret_bound(cert)
 

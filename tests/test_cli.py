@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,13 +231,32 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("noise", [
         "snr = inf", "sigma2 = inf", "snr = 1e-320", "sigma2 = 1e-320",
-        "snr = 1\nmagnitude = nan", "sigma2 = 1\nmagnitude = nan"])
+        "snr = 1\nmagnitude = nan", "sigma2 = 1\nmagnitude = nan",
+        "snr = 1\nmagnitude = 1e200", "sigma2 = 1\nmagnitude = 1e200"])
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
                                                  noise):
         cfg = self.write_config(tmp_path, f"n = 20\np = 5\nseed = 1\n{noise}\n")
         out = tmp_path / "x.csv"
-        self.assert_config_error(
-            capsys, ["simulate", "--config", cfg, "--out", str(out)], out)
+        # a numpy warning (an overflowing theta_star . theta_star) would add
+        # stderr lines that capsys does not see, so it is raised here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_config_error(
+                capsys, ["simulate", "--config", cfg, "--out", str(out)], out)
+
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_one_sample_designs_run_quietly(self, tmp_path, capsys, p):
+        # warnings, also those of pool workers, are raised as errors here
+        cfg = self.write_config(
+            tmp_path, f"n = 1\np = {p}\nsnr = 1.5\nseed = 3\nnum_trials = 6\n")
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 1 + 6
+            assert capsys.readouterr().err == ""
+            assert main(["bounds", "--config", cfg]) == 0
+            assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flag, value", [
         ("--tau", "-1"), ("--tau", "nan"), ("--n", "0"), ("--beta", "1.5"),

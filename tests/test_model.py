@@ -6,12 +6,10 @@ covariance, the domination gap) are checks in ``mdlasso.verify``.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from mdlasso import model as model_module
 from mdlasso.errors import InvalidOrderError
 from mdlasso.matops import sherman_morrison
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
@@ -50,7 +48,7 @@ class TestModelConstruction:
 
     @pytest.mark.parametrize("n, p", [(1, 1), (3, 7), (50, 20), (200, 1000)])
     def test_draw_is_aligned_plain_draw(self, n, p):
-        m = GaussianLinearModel(np.linspace(-1.0, 1.0, p), 0.5, np.eye(p))
+        m = GaussianLinearModel(np.linspace(-1.0, 1.0, p), 0.5)
         rng, plain = np.random.default_rng(n + p), np.random.default_rng(n + p)
         X = m.draw_features(rng, n)
         Y = m.draw_response(rng, X)
@@ -62,57 +60,25 @@ class TestModelConstruction:
 
 
 class TestIdentityCovariance:
-    def test_identity_skips_symmetry_check(self, monkeypatch):
-        def no_check(*_args):
-            raise AssertionError("symmetry checked for the identity")
-
-        monkeypatch.setattr(model_module, "check_symmetric", no_check)
-        m = GaussianLinearModel(np.ones(4), 1.0, np.eye(4, dtype=int))
-        assert m.cov is None and m.sqrt_cov is None
-
     def test_non_symmetric_still_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = 0.5
         with pytest.raises(ValueError, match="not symmetric"):
             GaussianLinearModel(np.ones(3), 1.0, cov)
 
-    def test_asymmetry_within_tolerance_symmetrizes_to_identity(self):
-        cov = np.eye(2)
-        cov[0, 1], cov[1, 0] = 1e-14, -1e-14
-        m = GaussianLinearModel(np.ones(2), 1.0, cov)
-        assert m.cov is None and m.sqrt_cov is None
-
     def test_non_identity_flagged(self):
         m = GaussianLinearModel(np.ones(2), 1.0, np.diag([1.0, 2.0]))
         assert np.array_equal(m.cov, np.diag([1.0, 2.0]))
         assert m.sqrt_cov is not None
 
-    @pytest.mark.parametrize("build", [
-        lambda p: np.eye(p),
-        lambda p: np.where(np.eye(p) == 1.0, 1.0, -0.0),
-        lambda p: np.where(np.eye(p) == 1.0, np.nan, 0.0),
-        lambda p: np.where(np.eye(p) == 1.0, 1.0, np.nan),
-        lambda p: np.eye(p + 1),
-        lambda p: np.ones(p),
-        lambda p: 2.0 * np.eye(p),
-        lambda p: np.diag([1.0] * (p - 1) + [-1.0]),
-    ], ids=["identity", "neg_zero_off", "nan_diag", "nan_off", "bigger",
-            "one_d", "twice", "neg_one_diag"])
-    def test_identity_test_matches_dense_comparison(self, build):
-        for p in (1, 2, 3, 5):
-            cov = build(p)
-            assert model_module._is_identity(cov, p) \
-                == np.array_equal(cov, np.eye(p)), p
-
-    def test_identity_builds_no_second_matrix(self):
-        cov = np.eye(1000)
-        tracemalloc.start()
-        try:
-            GaussianLinearModel(np.ones(1000), 1.0, cov)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < cov.nbytes / 4  # neither a copy nor a dense eye
+    @pytest.mark.parametrize("p", [1, 3, 20])
+    def test_explicit_identity_stays_a_matrix(self, p):
+        m = GaussianLinearModel(np.ones(p), 1.0, np.eye(p))
+        assert isinstance(m.cov, np.ndarray) and not m.cov.flags.writeable
+        np.testing.assert_array_equal(m.cov, np.eye(p))
+        np.testing.assert_allclose(m.sqrt_cov, np.eye(p), atol=1e-14)
+        v = np.arange(p, dtype=np.float64)
+        np.testing.assert_array_equal(m.cov @ v, v)
 
     def test_divergences_match_dense_identity(self):
         # The solver's soft-threshold leaves -0.0 entries, which the dense
@@ -121,7 +87,7 @@ class TestIdentityCovariance:
         p = 50
         theta_star = np.zeros(p)
         theta_star[:5] = 1.0
-        m = GaussianLinearModel(theta_star, 0.7, np.eye(p))
+        m = GaussianLinearModel(theta_star, 0.7)
         order = DivergenceOrder(0.5)
         eye = np.eye(p)
         for _ in range(5):

@@ -28,6 +28,10 @@ class TestWeights:
         np.testing.assert_allclose(population_weights(np.diag([4.0, 9.0])),
                                    [2.0, 3.0])
 
+    def test_population_rejects_a_diagonal_vector(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            population_weights(np.array([4.0, 9.0]))
+
 
 class TestWeightedL1:
     def test_zero(self):

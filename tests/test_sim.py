@@ -19,7 +19,7 @@ from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            hessian_bound_gap, renyi_hess, tilted)
 from mdlasso.penalty import column_mean_squares
 from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
-                         run_trial, snr_to_sigma2)
+                         run_trial)
 from mdlasso.seeding import substream
 from mdlasso.typical_set import is_typical, prob_lower_bounds
 
@@ -30,34 +30,6 @@ MIXED_DOC = ("n = 50\np = 20\neps = 0.9\ntau = 0.2\nsparsity = 5\n"
 can_fork = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
     reason="the trial pool needs fork and sched_getaffinity")
-
-
-class TestSnrToSigma2:
-    def test_quadratic_form(self):
-        theta = np.array([2.0, 0.0, 0.0])
-        assert snr_to_sigma2(theta, np.eye(3), 1.0) == pytest.approx(4.0)
-
-    def test_inverse_scaling(self):
-        theta = np.array([1.0, 1.0])
-        base = snr_to_sigma2(theta, np.eye(2), 1.0)
-        assert snr_to_sigma2(theta, np.eye(2), 10.0) == pytest.approx(base / 10.0)
-
-    def test_rejects_zero_signal(self):
-        with pytest.raises(ValueError, match="non-zero"):
-            snr_to_sigma2(np.zeros(3), np.eye(3), 1.0)
-
-    def test_empirical_snr_matches(self):
-        rng = np.random.default_rng(60)
-        A = rng.standard_normal((4, 4))
-        cov = A @ A.T + 0.5 * np.eye(4)
-        theta = rng.standard_normal(4)
-        snr = 2.5
-        sigma2 = snr_to_sigma2(theta, cov, snr)
-        model = GaussianLinearModel(theta, sigma2, cov)
-        X = model.draw_features(rng, 100_000)
-        sample = (X @ theta) ** 2 / sigma2
-        se = float(np.std(sample, ddof=1)) / math.sqrt(sample.size)
-        assert abs(float(np.mean(sample)) - snr) <= 3 * se
 
 
 class TestExperimentConfig:
@@ -82,6 +54,14 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(n=10, p=20, seed=1, snr=2.0, sparsity=5)
         assert cfg.sigma2 == pytest.approx(5.0 / 2.0)
         assert cfg.snr == 2.0
+
+    def test_empirical_snr_matches(self):
+        cfg = ExperimentConfig(n=10, p=4, seed=60, snr=2.5, sparsity=3,
+                               magnitude=0.8)
+        X = cfg.build_model().draw_features(substream(cfg.seed), 100_000)
+        sample = (X @ cfg.theta_star) ** 2 / cfg.sigma2
+        se = float(np.std(sample, ddof=1)) / math.sqrt(sample.size)
+        assert abs(float(np.mean(sample)) - cfg.snr) <= 3 * se
 
     def test_explicit_sigma2(self):
         cfg = ExperimentConfig(n=10, p=20, seed=1, sigma2=3.0, sparsity=5)
@@ -163,7 +143,7 @@ class TestRunExperiment:
                 by_snr = ExperimentConfig(n=50, p=p, seed=0, snr=snr, eps=0.9,
                                           tau=0.2, sparsity=min(p, 5),
                                           magnitude=0.7)
-                want = snr_to_sigma2(theta, np.eye(p), snr)
+                want = float(theta @ (np.eye(p) @ theta)) / snr
                 assert by_snr.sigma2.hex() == want.hex()
 
     def test_summary_counts(self):

@@ -42,6 +42,10 @@ class TestIsTypical:
         with pytest.raises(ValueError):
             is_typical(msq(np.ones((3, 1))), np.zeros((1, 1)), 0.5)
 
+    def test_rejects_a_diagonal_vector(self):
+        with pytest.raises(ValueError, match="2x2"):
+            is_typical(msq(np.ones((3, 2))), np.ones(2), 0.5)
+
     def test_rejects_a_design_in_place_of_mean_squares(self):
         with pytest.raises(ValueError, match="1-D"):
             is_typical(np.ones((3, 2)), None, 0.5)
