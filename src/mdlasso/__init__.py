@@ -13,8 +13,8 @@ from .model import (DivergenceOrder, GaussianLinearModel, TiltedGaussian,
                     displacement_energy, hessian_bound_gap, renyi_div,
                     renyi_div_n, renyi_grad, renyi_hess, tilt_scale, tilted)
 from .penalty import (PenaltyCoefficients, QuantizerSpec, design_ratio,
-                      empirical_weights, fixed_design_mu1, grid_codelength,
-                      kraft_sum, min_coefficients, population_weights,
+                      fixed_design_mu1, grid_codelength, kraft_sum,
+                      min_coefficients, population_weights,
                       randomize_quantize, weighted_l1)
 from .sim import (ExperimentConfig, ExperimentSummary, TrialRecord,
                   default_theta_star, run_experiment, run_trial)
@@ -31,7 +31,7 @@ __all__ = [
     "RiskBoundEstimate", "SolveReport", "TiltedGaussian", "TrialRecord",
     "alpha_bound_at_probability", "alpha_div", "alpha_risk_bound",
     "bhattacharyya", "default_theta_star", "design_ratio",
-    "displacement_energy", "empirical_weights", "fixed_design_mu1",
+    "displacement_energy", "fixed_design_mu1",
     "gamma_tail_check", "grid_codelength", "hellinger_regret_bound",
     "hellinger_sq", "hessian_bound_gap", "is_typical", "kkt_residual",
     "kl_closed", "kraft_sum", "min_coefficients", "min_eigenvalue",

@@ -133,26 +133,6 @@ def meets_minimums(coeffs: PenaltyCoefficients,
             and coeffs.mu2 >= minimums.mu2 * (1.0 - _COEFF_RTOL))
 
 
-def _check_sigma2(prob: LassoProblem, model: GaussianLinearModel) -> None:
-    if abs(prob.sigma2 - model.sigma2) > 1e-9 * model.sigma2:
-        raise InvalidCertificateError(
-            f"problem sigma2={prob.sigma2} does not match model "
-            f"sigma2={model.sigma2}")
-
-
-def _check_coefficients(prob: LassoProblem,
-                        config: BoundConfig) -> PenaltyCoefficients:
-    """The problem's ``min_coefficients``; raises if its penalty falls below them."""
-    minimums = min_coefficients(prob.n, prob.p, config.order, config.beta,
-                                config.eps, prob.sigma2)
-    if not meets_minimums(prob.coeffs, minimums):
-        raise InvalidCertificateError(
-            f"penalty coefficients ({prob.coeffs.mu1:.6g}, {prob.coeffs.mu2:.6g}) "
-            f"fall below the required minimums "
-            f"({minimums.mu1:.6g}, {minimums.mu2:.6g})")
-    return minimums
-
-
 def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
                      theta_hat: np.ndarray) -> float:
     """Value of the infimum in the regret bound, evaluated at the solver output.
@@ -174,12 +154,21 @@ def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
     Raises
     ------
     InvalidCertificateError
-        If the problem's penalty coefficients fall below ``min_coefficients``
-        for (order, beta, eps), or the noise variances of problem and model
-        disagree.
+        If the noise variances of problem and model disagree, or the
+        problem's penalty coefficients fall below ``min_coefficients`` for
+        (order, beta, eps).
     """
-    _check_sigma2(prob, model)
-    minimums = _check_coefficients(prob, config)
+    if abs(prob.sigma2 - model.sigma2) > 1e-9 * model.sigma2:
+        raise InvalidCertificateError(
+            f"problem sigma2={prob.sigma2} does not match model "
+            f"sigma2={model.sigma2}")
+    minimums = min_coefficients(prob.n, prob.p, config.order, config.beta,
+                                config.eps, prob.sigma2)
+    if not meets_minimums(prob.coeffs, minimums):
+        raise InvalidCertificateError(
+            f"penalty coefficients ({prob.coeffs.mu1:.6g}, {prob.coeffs.mu2:.6g}) "
+            f"fall below the required minimums "
+            f"({minimums.mu1:.6g}, {minimums.mu2:.6g})")
     main = regret_main_term(prob, model.theta_star, theta_hat)
     floor = probability_floor(prob.n, prob.p, config.eps, config.tau,
                               config.beta)
@@ -220,16 +209,19 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
 
     ``prob_generator(rng)`` must return a fresh LassoProblem drawn under
     ``model``'s law; draws whose design is not eps-typical are discarded,
-    which realizes the conditional expectation exactly.
+    which realizes the conditional expectation exactly. Each accepted
+    draw is solved and its main term is that of ``regret_certificate``,
+    which checks the draw after the solve; rejected draws are not checked.
 
     Raises
     ------
     InsufficientAcceptanceError
         If fewer than 10 draws are accepted.
     InvalidCertificateError
-        If an accepted draw's penalty coefficients fall below
-        ``min_coefficients``, or the typical-set bound is vacuous at the
-        problem size (the closed-form penalty term would be undefined).
+        If an accepted draw's noise variance does not match ``model``'s or
+        its penalty coefficients fall below ``min_coefficients``, or the
+        typical-set bound is vacuous at the problem size (the closed-form
+        penalty term would be undefined).
     """
     if num_mc < 100:
         raise ValueError(f"num_mc must be >= 100, got {num_mc}")
@@ -238,13 +230,12 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
     n = p = None
     for i in range(num_mc):
         prob = prob_generator(substream(seed, i))
-        _check_sigma2(prob, model)
         n, p = prob.n, prob.p
         if not is_typical(prob.mean_sq, model.cov, config.eps):
             continue
-        _check_coefficients(prob, config)
         report = solve(prob)
-        mains.append(regret_main_term(prob, model.theta_star, report.theta_hat))
+        mains.append(regret_certificate(prob, model, config,
+                                        report.theta_hat).main_term)
         renyis.append(renyi_div(model, report.theta_hat, config.order))
     accepted = len(mains)
     if accepted < 10:

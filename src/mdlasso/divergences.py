@@ -54,7 +54,7 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
     propagated through the log by the delta method. Sampling is chunked with
     a streaming mean/variance merge so memory stays bounded; the statistics
     produced by the merge equal a one-shot computation over the same sample
-    exactly, and the whole estimate is reproducible from the seed.
+    to rounding, and the whole estimate is reproducible from the seed.
 
     Raises
     ------

@@ -36,6 +36,9 @@ class LassoProblem:
 
     ``mean_sq`` holds the design's column mean squares and ``w`` their
     square roots, the penalty weights; ``is_typical`` can reuse the former.
+    ``X`` is a read-only view of the caller's float64 design, not a copy:
+    the caller's array stays writeable, and writing it afterwards changes
+    ``X`` but not ``mean_sq`` or ``w``.
     """
 
     X: np.ndarray
@@ -46,7 +49,7 @@ class LassoProblem:
     w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
+        X = np.asarray(self.X, dtype=np.float64).view()
         Y = np.asarray(self.Y, dtype=np.float64).reshape(-1)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")

@@ -48,8 +48,9 @@ class GaussianLinearModel:
     """True regression model: coefficients, noise variance, feature covariance.
 
     Immutable after construction. ``sqrt_cov`` (the symmetric square root of
-    the feature covariance) is cached at construction because every
-    divergence evaluation needs it.
+    the feature covariance) is computed once at construction for
+    ``draw_features`` and ``tilted``; the divergence closed forms read
+    ``cov``.
 
     ``cov`` is None (the default) for the identity covariance, or a p x p
     matrix. None is kept as ``cov = sqrt_cov = None``, with no p x p array

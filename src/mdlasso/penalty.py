@@ -48,14 +48,6 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     return mean_sq
 
 
-def empirical_weights(X: np.ndarray) -> np.ndarray:
-    """Column root-mean-squares w_j = sqrt((1/n) sum_i x_ij^2).
-
-    Raises ValueError as ``column_mean_squares`` does.
-    """
-    return np.sqrt(column_mean_squares(X))
-
-
 def population_weights(cov: np.ndarray) -> np.ndarray:
     """Population weights w_star_j = sqrt(cov_jj) of a p x p covariance."""
     cov = np.asarray(cov, dtype=np.float64)

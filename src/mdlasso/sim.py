@@ -115,6 +115,19 @@ class ExperimentConfig:
     def build_model(self) -> GaussianLinearModel:
         return GaussianLinearModel(self.theta_star, self.sigma2)
 
+    def draw_problem(self, model: GaussianLinearModel,
+                     rng: np.random.Generator) -> LassoProblem:
+        """``n`` rows of ``model`` drawn from ``rng``, with the minimal penalty.
+
+        The coefficients are ``min_coefficients`` at this config's (lam,
+        beta, eps) and ``model.sigma2``. Every trial's problem is drawn here.
+        """
+        X = model.draw_features(rng, self.n)
+        Y = model.draw_response(rng, X)
+        coeffs = min_coefficients(self.n, self.p, DivergenceOrder(self.lam),
+                                  self.beta, self.eps, model.sigma2)
+        return LassoProblem(X, Y, model.sigma2, coeffs)
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -154,14 +167,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     """One seeded trial; bit-identical for identical (cfg.seed, trial_index)."""
     if model is None:
         model = cfg.build_model()
-    rng = substream(cfg.seed, trial_index)
     bc = cfg.bound_config()
-    sigma2 = model.sigma2
-
-    X = model.draw_features(rng, cfg.n)
-    Y = model.draw_response(rng, X)
-    coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps, sigma2)
-    prob = LassoProblem(X, Y, sigma2, coeffs)
+    prob = cfg.draw_problem(model, substream(cfg.seed, trial_index))
     report = solve(prob)
     cert = regret_certificate(prob, model, bc, theta_hat=report.theta_hat)
 
@@ -170,7 +177,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     return TrialRecord(
         trial_index=trial_index,
         snr=cfg.snr,
-        sigma2=sigma2,
+        sigma2=model.sigma2,
         d_bhatta=d05,
         two_hellinger_sq=two_h2,
         regret_bound=cert.bound,

@@ -23,7 +23,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .penalty import column_mean_squares
 from .seeding import substream
 
 _GAMMA_CHUNK = 8192
@@ -75,12 +74,6 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
             raise ValueError("covariance diagonal must be strictly positive")
         ratio = mean_sq / diag
     return bool(np.all(ratio >= 1.0 - eps) and np.all(ratio <= 1.0 + eps))
-
-
-def column_is_typical(col: np.ndarray, var: float, eps: float) -> bool:
-    """Single-column membership; the full test is the conjunction over columns."""
-    col = np.asarray(col, dtype=np.float64).reshape(-1, 1)
-    return is_typical(column_mean_squares(col), np.array([[var]]), eps)
 
 
 def sanov_exponent(n: int, eps: float, side: str) -> float:

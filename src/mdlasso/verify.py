@@ -277,19 +277,16 @@ def check_typical_set_column_decomposition():
         eps = float(rng.uniform(0.05, 0.5))
         whole = typical_set.is_typical(penalty.column_mean_squares(X), cov, eps)
         per_col = all(
-            typical_set.column_is_typical(X[:, j], float(cov[j, j]), eps)
+            typical_set.is_typical(penalty.column_mean_squares(X[:, [j]]),
+                                   cov[j:j + 1, j:j + 1], eps)
             for j in range(4))
         assert whole == per_col
 
 
 def _small_problem(rng, n=40, p=12, snr=2.0):
-    model = sim.ExperimentConfig(n=n, p=p, seed=0, snr=snr,
-                                 sparsity=4).build_model()
-    X = model.draw_features(rng, n)
-    Y = model.draw_response(rng, X)
-    coeffs = penalty.min_coefficients(n, p, DivergenceOrder(0.5), 0.5, 0.5,
-                                      model.sigma2)
-    return model, lasso.LassoProblem(X, Y, model.sigma2, coeffs)
+    cfg = sim.ExperimentConfig(n=n, p=p, seed=0, snr=snr, sparsity=4)
+    model = cfg.build_model()
+    return model, cfg.draw_problem(model, rng)
 
 
 def check_lasso_descent_and_kkt():
@@ -318,13 +315,8 @@ def check_lasso_orthonormal_closed_form():
 
 
 def check_lasso_paper_scale():
-    rng = substream(117)
-    model = sim.ExperimentConfig(n=200, p=1000, seed=0, snr=1.5).build_model()
-    X = model.draw_features(rng, 200)
-    Y = model.draw_response(rng, X)
-    coeffs = penalty.min_coefficients(200, 1000, DivergenceOrder(0.5), 0.5, 0.5,
-                                      model.sigma2)
-    prob = lasso.LassoProblem(X, Y, model.sigma2, coeffs)
+    cfg = sim.ExperimentConfig(n=200, p=1000, seed=0, snr=1.5)
+    prob = cfg.draw_problem(cfg.build_model(), substream(117))
     report = lasso.solve(prob)
     assert report.converged and report.iterations <= 5000
     assert report.kkt_residual <= 1e-6

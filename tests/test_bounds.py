@@ -24,17 +24,10 @@ from mdlasso.typical_set import is_typical, prob_lower_bounds
 
 def small_instance(seed=0, n=40, p=8, snr=1.5, lam=0.5, beta=0.5, eps=0.5,
                    tau=0.03):
-    rng = substream(seed)
-    theta_star = np.zeros(p)
-    theta_star[:3] = 1.0
-    sigma2 = float(theta_star @ theta_star) / snr
-    model = GaussianLinearModel(theta_star, sigma2)
-    X = model.draw_features(rng, n)
-    Y = model.draw_response(rng, X)
-    coeffs = min_coefficients(n, p, DivergenceOrder(lam), beta, eps, sigma2)
-    prob = LassoProblem(X, Y, sigma2, coeffs)
-    cfg = BoundConfig(DivergenceOrder(lam), beta, eps, tau)
-    return model, prob, cfg
+    cfg = ExperimentConfig(n=n, p=p, seed=seed, snr=snr, lam=lam, beta=beta,
+                           eps=eps, tau=tau, sparsity=3)
+    model = cfg.build_model()
+    return model, cfg.draw_problem(model, substream(seed)), cfg.bound_config()
 
 
 class TestBoundConfig:
@@ -190,6 +183,15 @@ class TestRiskBoundRhs:
         with pytest.raises(InvalidCertificateError, match="below"):
             risk_bound_rhs(model, cfg.bound_config(), gen, num_mc=200,
                            seed=cfg.seed)
+
+    def test_rejects_sigma2_mismatch_on_an_accepted_draw(self):
+        cfg = ExperimentConfig(n=50, p=100, seed=1, snr=2.0)
+        model = cfg.build_model()
+        other = GaussianLinearModel(model.theta_star, model.sigma2 * 2.0)
+        with pytest.raises(InvalidCertificateError, match="does not match"):
+            risk_bound_rhs(model, cfg.bound_config(),
+                           lambda rng: cfg.draw_problem(other, rng),
+                           num_mc=200, seed=cfg.seed)
 
     def test_rejects_small_num_mc(self):
         model = GaussianLinearModel(np.zeros(2), 1.0)

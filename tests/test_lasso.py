@@ -8,8 +8,8 @@ import pytest
 from mdlasso import lasso
 from mdlasso.lasso import (LassoProblem, kkt_residual, objective,
                            soft_threshold, solve)
-from mdlasso.model import DivergenceOrder
-from mdlasso.penalty import PenaltyCoefficients, min_coefficients, weighted_l1
+from mdlasso.penalty import PenaltyCoefficients, weighted_l1
+from mdlasso.sim import ExperimentConfig
 
 
 def scalar_problem(mu1=0.3, target=0.9, n=4):
@@ -31,14 +31,9 @@ def orthonormal_problem(rng, n=60, p=12, mu1=0.4):
 def snr_problem(seed, n, p, snr, sparsity=5):
     # the simulation protocol's problem at a small size: unit-magnitude
     # k-sparse truth, sigma2 from the SNR, minimal penalty coefficients
-    rng = np.random.default_rng(seed)
-    theta_star = np.zeros(p)
-    theta_star[:min(sparsity, p)] = 1.0
-    sigma2 = float(theta_star @ theta_star) / snr
-    X = rng.standard_normal((n, p))
-    Y = X @ theta_star + math.sqrt(sigma2) * rng.standard_normal(n)
-    coeffs = min_coefficients(n, p, DivergenceOrder(0.5), 0.5, 0.5, sigma2)
-    return LassoProblem(X, Y, sigma2, coeffs)
+    cfg = ExperimentConfig(n=n, p=p, seed=seed, snr=snr,
+                           sparsity=min(sparsity, p))
+    return cfg.draw_problem(cfg.build_model(), np.random.default_rng(seed))
 
 
 def reference_ista(prob, tol=lasso.DEFAULT_TOL, max_iter=lasso.DEFAULT_MAX_ITER):
@@ -102,6 +97,14 @@ class TestProblemConstruction:
         prob = LassoProblem(X, np.zeros(4), 1.0, PenaltyCoefficients(1.0, 1.0))
         np.testing.assert_allclose(prob.w, [1.0, math.sqrt(2.0)])
 
+    def test_freezes_a_view_not_the_callers_design(self):
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        prob = LassoProblem(X, np.zeros(5), 1.0, PenaltyCoefficients(1.0, 1.0))
+        assert np.shares_memory(prob.X, X)
+        X[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            prob.X[0, 0] = 1.0
+
 
 class TestObjective:
     def test_at_zero(self):
@@ -162,7 +165,9 @@ class TestSolve:
         report = solve(prob, tol=1e-12)
         assert abs(report.theta_hat[0] - 0.6) <= 1e-8
         grid = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
-        vals = [objective(prob, np.array([g])) for g in grid]
+        resid = prob.Y[:, None] - prob.X @ grid[None, :]
+        vals = (np.sum(resid ** 2, axis=0) / (2.0 * prob.n * prob.sigma2)
+                + prob.coeffs.mu1 * prob.w[0] * np.abs(grid))
         brute = grid[int(np.argmin(vals))]
         assert abs(report.theta_hat[0] - brute) <= 1e-4
 

@@ -8,22 +8,12 @@ import pytest
 from mdlasso.errors import InvalidOrderError
 from mdlasso.model import DivergenceOrder
 from mdlasso.penalty import (PenaltyCoefficients, QuantizerSpec, design_ratio,
-                             empirical_weights, fixed_design_mu1,
-                             grid_codelength, kraft_sum, min_coefficients,
-                             population_weights, randomize_quantize,
-                             weighted_l1)
+                             fixed_design_mu1, grid_codelength, kraft_sum,
+                             min_coefficients, population_weights,
+                             randomize_quantize, weighted_l1)
 
 
 class TestWeights:
-    def test_empirical(self):
-        X = np.array([[1.0, 2.0], [-1.0, 0.0], [1.0, 2.0], [1.0, 0.0]])
-        w = empirical_weights(X)
-        np.testing.assert_allclose(w, [1.0, math.sqrt(2.0)])
-
-    def test_empirical_rejects_zero_column(self):
-        with pytest.raises(ValueError, match="zero"):
-            empirical_weights(np.array([[1.0, 0.0], [2.0, 0.0]]))
-
     def test_population(self):
         np.testing.assert_allclose(population_weights(np.diag([4.0, 9.0])),
                                    [2.0, 3.0])

@@ -17,7 +17,7 @@ from mdlasso.divergences import bhattacharyya
 from mdlasso.errors import NumericalFailureError
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            hessian_bound_gap, renyi_hess, tilted)
-from mdlasso.penalty import column_mean_squares
+from mdlasso.penalty import column_mean_squares, min_coefficients
 from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
                          run_trial)
 from mdlasso.seeding import substream
@@ -83,6 +83,27 @@ class TestExperimentConfig:
         fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.init]
         keys = ["lam" if key == "lambda" else key for key in CONFIG_KEYS]
         assert sorted(fields) == sorted(keys)
+
+
+class TestDrawProblem:
+    @pytest.mark.parametrize("seed,trial", [(0, 0), (7, 3), (11, 12),
+                                            (2024, 99)])
+    def test_matches_the_inline_trial_draw(self, seed, trial):
+        # the draw run_trial made inline before draw_problem existed
+        cfg = ExperimentConfig(n=30, p=12, seed=seed, snr=1.5, lam=0.4,
+                               beta=0.55, eps=0.3, sparsity=4)
+        model = cfg.build_model()
+        rng = substream(cfg.seed, trial)
+        X = model.draw_features(rng, cfg.n)
+        Y = model.draw_response(rng, X)
+        bc = cfg.bound_config()
+        coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps,
+                                  model.sigma2)
+        prob = cfg.draw_problem(model, substream(cfg.seed, trial))
+        assert prob.X.tobytes() == X.tobytes()
+        assert prob.Y.tobytes() == Y.tobytes()
+        assert prob.coeffs == coeffs
+        assert prob.sigma2 == model.sigma2
 
 
 class TestRunTrial:
