@@ -17,7 +17,7 @@ so large displacements cannot overflow.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -26,6 +26,17 @@ from .model import DivergenceOrder, GaussianLinearModel, displacement_energy, re
 from .seeding import substream
 
 _MC_CHUNK = 1 << 16
+_MC_BLOCK_ELEMS = 1 << 18
+# Why blocks of a power-of-two number of rows, the last taking the remainder:
+# one-thread OpenBLAS (0.3.31) forms a row-major X @ theta four rows at a
+# time and the leftover rows with a kernel that rounds differently, and
+# under a general covariance a z @ sqrt_cov of few rows (seen at
+# M N K <= 1e6) takes a small-matrix path that rounds differently too. Blocks that start at
+# multiples of four rows, hold at least block_rows(p) rows and end the chunk
+# with its own leftover rows give every row the rounding of the whole-chunk
+# products; blocks of _MC_BLOCK_ELEMS // p rows with a short ragged tail do
+# not. (With more BLAS threads, a whole-chunk product is itself split at
+# row counts that need not be multiples of four.)
 
 
 @dataclass(frozen=True)
@@ -45,21 +56,55 @@ class McEstimate(NamedTuple):
     std_error: float
 
 
+def block_rows(p: int) -> int:
+    """Rows of one feature block in ``renyi_mc``: the largest power of two,
+    and at least 4, whose block holds at most ``_MC_BLOCK_ELEMS`` entries."""
+    return 1 << max(2, (_MC_BLOCK_ELEMS // p).bit_length() - 1)
+
+
+def row_blocks(m: int, rows: int) -> Iterator[Tuple[int, int]]:
+    """Row ranges [lo, hi) that tile m rows in blocks of ``rows`` rows.
+
+    The last block takes the remainder, so it holds from ``rows`` to
+    2 ``rows`` - 1 rows, or all m rows when m < 2 ``rows``.
+    """
+    lo = 0
+    while lo < m:
+        hi = m if m - lo < 2 * rows else lo + rows
+        yield lo, hi
+        lo = hi
+
+
 def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
              order: DivergenceOrder, num_samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the order-lambda Renyi divergence.
 
     Draws (x, y) from the true joint law and estimates
     -log(mean[(p_theta/p_true)^(1-lam)]) / (1-lam). The standard error is
-    propagated through the log by the delta method. Sampling is chunked with
-    a streaming mean/variance merge so memory stays bounded; the statistics
-    produced by the merge equal a one-shot computation over the same sample
-    to rounding, and the whole estimate is reproducible from the seed.
+    propagated through the log by the delta method. The statistics are
+    merged chunk by chunk with a running-max shift; they equal a one-shot
+    computation over the same sample to rounding, and the whole estimate is
+    reproducible from the seed.
+
+    ``_MC_CHUNK`` pins the sample stream: each chunk of that many samples
+    draws its features, then its noise, from one generator. No chunk design
+    is held: the features are drawn in row blocks (``block_rows``,
+    ``row_blocks``) and each block is reduced to its two fits at once. Peak
+    memory is one feature block, of at most ``_MC_BLOCK_ELEMS`` entries (or
+    4 rows when p > 2^16; up to twice that for the last block of the last
+    chunk, and twice again under a general covariance), plus O(``_MC_CHUNK``)
+    vectors, whatever p is. The blocks change no sample: the generator
+    fills rows in order, and with one BLAS thread each row's features and
+    fits round as in products over the whole chunk. (Measured with OpenBLAS
+    0.3.31 for the identity, and for a general covariance up to p = 192 or
+    at p a multiple of 8; at other p above 192, blocks of z @ sqrt_cov can
+    round a feature differently in the last bit.)
 
     Raises
     ------
     ValueError
-        If ``num_samples`` < 1000 (too few for the delta-method error bar).
+        If ``num_samples`` < 1000 (too few for the delta-method error bar),
+        or ``theta`` does not hold p finite entries; both before any draw.
     NumericalFailureError
         If the ratio mean is non-positive or non-finite, which cannot happen
         with exact arithmetic and signals an overflow-handling bug.
@@ -67,9 +112,17 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
     if num_samples < 1000:
         raise ValueError(f"num_samples must be >= 1000, got {num_samples}")
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    p = model.dim
+    if theta.size != p:
+        raise ValueError(f"theta has length {theta.size}, expected {p}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     lam = order.lam
     rng = substream(seed)
     sigma = math.sqrt(model.sigma2)
+    rows = block_rows(p)
+    fit_true = np.empty(min(_MC_CHUNK, num_samples))
+    fit_theta = np.empty_like(fit_true)
 
     # Running statistics of r_i = exp(a_i - shift), a_i = (1-lam) log-ratio.
     shift = -math.inf
@@ -78,10 +131,13 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
     done = 0
     while done < num_samples:
         m = min(_MC_CHUNK, num_samples - done)
-        X = model.draw_features(rng, m)
-        y = X @ model.theta_star + sigma * rng.standard_normal(m)
-        resid_true = y - X @ model.theta_star
-        resid_theta = y - X @ theta
+        for lo, hi in row_blocks(m, rows):
+            X_b = model.draw_features(rng, hi - lo)
+            np.matmul(X_b, model.theta_star, out=fit_true[lo:hi])
+            np.matmul(X_b, theta, out=fit_theta[lo:hi])
+        y = fit_true[:m] + sigma * rng.standard_normal(m)
+        resid_true = y - fit_true[:m]
+        resid_theta = y - fit_theta[:m]
         log_ratio = (resid_true ** 2 - resid_theta ** 2) / (2.0 * model.sigma2)
         a = (1.0 - lam) * log_ratio
         chunk_max = float(np.max(a))

@@ -33,6 +33,11 @@ from .seeding import substream
 def column_mean_squares(X: np.ndarray) -> np.ndarray:
     """Column mean squares (1/n) sum_i x_ij^2, the squared weights w_j^2.
 
+    Summed without an n x p temporary of squares. For a C-ordered X with
+    p > 1 the result equals ``np.mean(X ** 2, axis=0)`` bit for bit; where
+    the summed axis is contiguous (p = 1, or Fortran order), numpy sums
+    pairwise and the two may differ in the last bits.
+
     Raises
     ------
     ValueError
@@ -41,7 +46,7 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
-    mean_sq = np.mean(X ** 2, axis=0)
+    mean_sq = np.einsum("ij,ij->j", X, X) / X.shape[0]
     if not np.all(mean_sq > 0.0):
         dead = int(np.argmin(mean_sq))
         raise ValueError(f"column {dead} of the design matrix is identically zero")

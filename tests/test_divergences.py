@@ -7,15 +7,19 @@ divergence in question.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mdlasso.divergences import (AlphaOrder, alpha_div, bhattacharyya,
-                                 hellinger_sq, kl_closed, renyi_mc)
+import mdlasso.divergences as dv
+from mdlasso.divergences import (AlphaOrder, McEstimate, alpha_div,
+                                 bhattacharyya, hellinger_sq, kl_closed,
+                                 renyi_mc)
 from mdlasso.errors import InvalidOrderError
 from mdlasso.model import DivergenceOrder, GaussianLinearModel, renyi_div
-from mdlasso.verify import random_model
+from mdlasso.seeding import substream
+from mdlasso.verify import random_model, random_spd
 
 
 def mc_integrand_mean(model, theta, transform, num, seed):
@@ -28,6 +32,43 @@ def mc_integrand_mean(model, theta, transform, num, seed):
     log_ratio = (r_true ** 2 - r_theta ** 2) / (2 * model.sigma2)
     vals = transform(log_ratio)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(num))
+
+
+def whole_chunk_renyi_mc(model, theta, order, num_samples, seed):
+    """``renyi_mc`` as it was before row blocks: each chunk's whole design."""
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    lam = order.lam
+    rng = substream(seed)
+    sigma = math.sqrt(model.sigma2)
+
+    shift = -math.inf
+    s1 = 0.0
+    s2 = 0.0
+    done = 0
+    while done < num_samples:
+        m = min(dv._MC_CHUNK, num_samples - done)
+        X = model.draw_features(rng, m)
+        y = X @ model.theta_star + sigma * rng.standard_normal(m)
+        resid_true = y - X @ model.theta_star
+        resid_theta = y - X @ theta
+        log_ratio = (resid_true ** 2 - resid_theta ** 2) / (2.0 * model.sigma2)
+        a = (1.0 - lam) * log_ratio
+        chunk_max = float(np.max(a))
+        if chunk_max > shift:
+            rescale = math.exp(shift - chunk_max) if math.isfinite(shift) else 0.0
+            s1 *= rescale
+            s2 *= rescale * rescale
+            shift = chunk_max
+        r = np.exp(a - shift)
+        s1 += float(np.sum(r))
+        s2 += float(np.sum(r * r))
+        done += m
+
+    mean_r = s1 / num_samples
+    var_r = max(0.0, (s2 - s1 * s1 / num_samples) / (num_samples - 1))
+    se_log_mean = math.sqrt(var_r / num_samples) / mean_r
+    estimate = -(shift + math.log(mean_r)) / (1.0 - lam)
+    return McEstimate(estimate, se_log_mean / (1.0 - lam))
 
 
 class TestAlphaOrder:
@@ -95,6 +136,54 @@ class TestRenyiMc:
         want_se = (r.std(ddof=1) / (r.mean() * math.sqrt(num))) / (1 - order.lam)
         assert got.value == pytest.approx(want, rel=1e-12)
         assert got.std_error == pytest.approx(want_se, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("general_cov", [False, True],
+                             ids=["identity", "spd"])
+    def test_row_blocks_match_whole_chunks(self, monkeypatch, general_cov,
+                                           lam):
+        # p = 50 in blocks of 512 rows: chunks of 1324 rows split as
+        # 512 + 812, and the last chunk of 852 is one block. Blocks keep
+        # M N K > 1e6, as the estimator's own blocks do for p >= 8.
+        monkeypatch.setattr(dv, "_MC_CHUNK", 1324)
+        monkeypatch.setattr(dv, "_MC_BLOCK_ELEMS", 1 << 15)
+        rng = np.random.default_rng(31)
+        p = 50
+        cov = random_spd(rng, p) if general_cov else None
+        m = GaussianLinearModel(rng.standard_normal(p), 1.3, cov)
+        theta = m.theta_star + 0.5 * rng.standard_normal(p)
+        order = DivergenceOrder(lam)
+        assert dv.block_rows(p) == 512
+        assert list(dv.row_blocks(1324, 512)) == [(0, 512), (512, 1324)]
+        for seed in range(3):
+            assert renyi_mc(m, theta, order, 3500, seed) == \
+                whole_chunk_renyi_mc(m, theta, order, 3500, seed)
+
+    @pytest.mark.parametrize("p", [100, 1000])
+    def test_peak_memory_does_not_grow_with_p(self, p):
+        # one full 65 536-sample chunk and a ragged second one
+        m = GaussianLinearModel(np.full(p, 0.1), 1.0, None)
+        tracemalloc.start()
+        try:
+            renyi_mc(m, np.zeros(p), DivergenceOrder(0.5), 70_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    @pytest.mark.parametrize("theta, match", [
+        (np.zeros(3), "theta has length 3, expected 2"),
+        (np.array([0.0, np.nan]), "finite"),
+    ], ids=["wrong_length", "nan"])
+    def test_rejects_bad_theta_before_drawing(self, monkeypatch, theta,
+                                              match):
+        def no_draw(self, rng, n):
+            raise AssertionError("drew before validating theta")
+
+        monkeypatch.setattr(GaussianLinearModel, "draw_features", no_draw)
+        m = GaussianLinearModel(np.zeros(2), 1.0, None)
+        with pytest.raises(ValueError, match=match):
+            renyi_mc(m, theta, DivergenceOrder(0.5), 1000, seed=0)
 
     def test_large_displacement_no_overflow(self):
         m = GaussianLinearModel(np.zeros(1), 1.0, np.eye(1))

@@ -1,13 +1,15 @@
 """Penalty construction, grid codelength, Kraft certificates, rounding moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdlasso.errors import InvalidOrderError
 from mdlasso.model import DivergenceOrder
-from mdlasso.penalty import (PenaltyCoefficients, QuantizerSpec, design_ratio,
+from mdlasso.penalty import (PenaltyCoefficients, QuantizerSpec,
+                             column_mean_squares, design_ratio,
                              fixed_design_mu1, grid_codelength, kraft_sum,
                              min_coefficients, population_weights,
                              randomize_quantize, weighted_l1)
@@ -21,6 +23,33 @@ class TestWeights:
     def test_population_rejects_a_diagonal_vector(self):
         with pytest.raises(ValueError, match="square matrix"):
             population_weights(np.array([4.0, 9.0]))
+
+
+class TestColumnMeanSquares:
+    @pytest.mark.parametrize("shape", [(200, 1000), (1, 1000)],
+                             ids=["reference", "one_row"])
+    def test_bit_equal_to_mean_of_squares(self, shape):
+        X = np.random.default_rng(3).standard_normal(shape) * 7.0
+        assert (column_mean_squares(X).tobytes()
+                == np.mean(X ** 2, axis=0).tobytes())
+
+    def test_single_column(self):
+        # numpy sums a contiguous axis pairwise, so at p = 1 np.mean and
+        # einsum may round differently; n eps bounds either sum's error
+        n = 200
+        X = np.random.default_rng(4).standard_normal((n, 1)) * 7.0
+        assert column_mean_squares(X)[0] == pytest.approx(
+            float(np.mean(X ** 2)), rel=n * np.finfo(float).eps, abs=0.0)
+
+    def test_no_n_by_p_temporary(self):
+        X = np.random.default_rng(5).standard_normal((200, 1000))
+        tracemalloc.start()
+        try:
+            column_mean_squares(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes // 8
 
 
 class TestWeightedL1:
