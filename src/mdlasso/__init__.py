@@ -3,7 +3,8 @@
 from .bounds import (BoundConfig, ProbCurvePoint, RegretCertificate,
                      RiskBoundEstimate, alpha_bound_at_probability,
                      alpha_risk_bound, hellinger_regret_bound, prob_curve,
-                     regret_certificate, regret_main_term, risk_bound_rhs)
+                     probability_floor, regret_certificate, regret_main_term,
+                     risk_bound_rhs)
 from .divergences import (AlphaOrder, McEstimate, alpha_div, bhattacharyya,
                           hellinger_sq, kl_closed, renyi_mc)
 from .lasso import (LassoProblem, SolveReport, kkt_residual, objective,
@@ -36,9 +37,9 @@ __all__ = [
     "hellinger_sq", "hessian_bound_gap", "is_typical", "kkt_residual",
     "kl_closed", "kraft_sum", "min_coefficients", "min_eigenvalue",
     "objective", "population_weights", "prob_curve", "prob_lower_bounds",
-    "randomize_quantize", "regret_certificate", "regret_main_term",
-    "renyi_div", "renyi_div_n", "renyi_grad", "renyi_hess", "renyi_mc",
-    "risk_bound_rhs", "run_experiment", "run_trial", "sanov_exponent",
-    "sherman_morrison", "soft_threshold", "solve",
-    "sqrt_sym", "tilt_scale", "tilted", "weighted_l1",
+    "probability_floor", "randomize_quantize", "regret_certificate",
+    "regret_main_term", "renyi_div", "renyi_div_n", "renyi_grad",
+    "renyi_hess", "renyi_mc", "risk_bound_rhs", "run_experiment",
+    "run_trial", "sanov_exponent", "sherman_morrison", "soft_threshold",
+    "solve", "sqrt_sym", "tilt_scale", "tilted", "weighted_l1",
 ]

@@ -38,7 +38,7 @@ from .lasso import LassoProblem, objective, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
 from .penalty import PenaltyCoefficients, min_coefficients
 from .seeding import substream
-from .typical_set import is_typical, prob_lower_bounds
+from .typical_set import ProbBoundTriple, is_typical, prob_lower_bounds
 
 _COEFF_RTOL = 1e-9
 
@@ -67,19 +67,21 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class ProbCurvePoint:
-    """Probability floor and its bound-chain components at one eps.
+    """The regret bound's probability floor at one eps, and the bound chain
+    it is built on.
 
-    ``floor`` = exact_product - exp(-tau n beta) and ``simplified_floor`` =
-    simplified - exp(-tau n beta), clamped to 0 (``floor`` clamped or the
-    chain vacuous sets ``vacuous``).
+    ``chain`` is ``prob_lower_bounds(n, p, eps)``. ``floor`` =
+    exact_product - exp(-tau n beta) and ``simplified_floor`` = simplified -
+    exp(-tau n beta), clamped to 0; the simplified floor decays at rate
+    ``kappa`` = min(eps^2/7, tau beta). ``floor`` clamped or the chain vacuous
+    sets ``vacuous``.
     """
 
     eps: float
-    floor_exact: float
-    floor_linear: float
-    floor_simplified: float
+    chain: ProbBoundTriple
     floor: float
     simplified_floor: float
+    kappa: float
     vacuous: bool
 
 
@@ -90,13 +92,13 @@ def probability_floor(n: int, p: int, eps: float, tau: float,
         raise ValueError(f"tau must be positive, got {tau}")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    triple = prob_lower_bounds(n, p, eps)
+    chain = prob_lower_bounds(n, p, eps)
     tau_term = math.exp(-tau * n * beta)
-    raw = triple.exact_product - tau_term
-    return ProbCurvePoint(eps, triple.exact_product, triple.linearized,
-                          triple.simplified, max(0.0, raw),
-                          max(0.0, triple.simplified - tau_term),
-                          raw < 0.0 or triple.vacuous)
+    raw = chain.exact_product - tau_term
+    return ProbCurvePoint(eps, chain, max(0.0, raw),
+                          max(0.0, chain.simplified - tau_term),
+                          min(eps ** 2 / 7.0, tau * beta),
+                          raw < 0.0 or chain.vacuous)
 
 
 def prob_curve(n: int, p: int, tau: float, beta: float,
@@ -108,29 +110,18 @@ def prob_curve(n: int, p: int, tau: float, beta: float,
 
 @dataclass(frozen=True, eq=False)
 class RegretCertificate:
-    """Assembled regret bound and the probability with which it holds.
+    """Assembled regret bound at one lasso solution.
 
-    ``probability_floor``, ``simplified_floor`` and ``vacuous`` are those of
-    ``probability_floor``; the simplified floor's decay rate is ``kappa`` =
-    min(eps^2/7, tau beta). ``minimums`` are the ``min_coefficients`` the
-    problem's penalty was checked against.
+    ``bound`` = ``main_term`` + tau; the probability with which it holds
+    does not depend on the solution and is ``probability_floor``'s.
+    ``minimums`` are the ``min_coefficients`` the problem's penalty was
+    checked against.
     """
 
     config: BoundConfig
     main_term: float
     bound: float
-    probability_floor: float
-    simplified_floor: float
-    kappa: float
-    vacuous: bool
     minimums: PenaltyCoefficients
-
-
-def meets_minimums(coeffs: PenaltyCoefficients,
-                   minimums: PenaltyCoefficients) -> bool:
-    """True iff both coefficients reach their minimal values (to relative slack)."""
-    return (coeffs.mu1 >= minimums.mu1 * (1.0 - _COEFF_RTOL)
-            and coeffs.mu2 >= minimums.mu2 * (1.0 - _COEFF_RTOL))
 
 
 def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
@@ -148,8 +139,7 @@ def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
 def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
                        config: BoundConfig,
                        theta_hat: np.ndarray) -> RegretCertificate:
-    """Regret bound main_term + tau at the solution ``theta_hat``, and its
-    probability floor.
+    """Regret bound main_term + tau at the solution ``theta_hat``.
 
     Raises
     ------
@@ -164,24 +154,15 @@ def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
             f"sigma2={model.sigma2}")
     minimums = min_coefficients(prob.n, prob.p, config.order, config.beta,
                                 config.eps, prob.sigma2)
-    if not meets_minimums(prob.coeffs, minimums):
+    coeffs = prob.coeffs
+    if not (coeffs.mu1 >= minimums.mu1 * (1.0 - _COEFF_RTOL)
+            and coeffs.mu2 >= minimums.mu2 * (1.0 - _COEFF_RTOL)):
         raise InvalidCertificateError(
-            f"penalty coefficients ({prob.coeffs.mu1:.6g}, {prob.coeffs.mu2:.6g}) "
+            f"penalty coefficients ({coeffs.mu1:.6g}, {coeffs.mu2:.6g}) "
             f"fall below the required minimums "
             f"({minimums.mu1:.6g}, {minimums.mu2:.6g})")
     main = regret_main_term(prob, model.theta_star, theta_hat)
-    floor = probability_floor(prob.n, prob.p, config.eps, config.tau,
-                              config.beta)
-    return RegretCertificate(
-        config=config,
-        main_term=main,
-        bound=main + config.tau,
-        probability_floor=floor.floor,
-        simplified_floor=floor.simplified_floor,
-        kappa=min(config.eps ** 2 / 7.0, config.tau * config.beta),
-        vacuous=floor.vacuous,
-        minimums=minimums,
-    )
+    return RegretCertificate(config, main, main + config.tau, minimums)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import ProbCurvePoint, prob_curve
+from .bounds import ProbCurvePoint, prob_curve, probability_floor
 from .errors import ConfigError, MdlassoError
 from .sim import ExperimentConfig, TrialRecord, run_experiment, run_trial
 
@@ -173,9 +173,9 @@ def emit_prob_curve_csv(points: Sequence[ProbCurvePoint], path: str) -> None:
         for pt in points:
             fh.write(",".join([
                 _fmt(pt.eps),
-                _fmt(pt.floor_exact),
-                _fmt(pt.floor_linear),
-                _fmt(pt.floor_simplified),
+                _fmt(pt.chain.exact_product),
+                _fmt(pt.chain.linearized),
+                _fmt(pt.chain.simplified),
                 _fmt(pt.floor),
             ]) + "\n")
 
@@ -219,6 +219,7 @@ def _cmd_bounds(args) -> int:
     rec = run_trial(cfg, 0)
     report, cert = rec.report, rec.certificate
     bc, coeffs = cert.config, cert.minimums
+    floor = probability_floor(cfg.n, cfg.p, bc.eps, bc.tau, bc.beta)
     items = [
         ("n", cfg.n), ("p", cfg.p),
         ("lambda", bc.order.lam), ("beta", bc.beta),
@@ -226,10 +227,10 @@ def _cmd_bounds(args) -> int:
         ("snr", rec.snr), ("sigma2", rec.sigma2),
         ("mu1", coeffs.mu1), ("mu2", coeffs.mu2),
         ("main_term", cert.main_term), ("regret_bound", cert.bound),
-        ("probability_floor", cert.probability_floor),
-        ("simplified_floor", cert.simplified_floor),
-        ("kappa", cert.kappa),
-        ("vacuous", str(cert.vacuous).lower()),
+        ("probability_floor", floor.floor),
+        ("simplified_floor", floor.simplified_floor),
+        ("kappa", floor.kappa),
+        ("vacuous", str(floor.vacuous).lower()),
         ("typical", str(rec.typical).lower()),
         ("solver_converged", str(report.converged).lower()),
         ("solver_iterations", report.iterations),
@@ -251,12 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mdlasso",
         description="Lasso risk/regret bound calculator and simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the config-reading flags of every subcommand that calls _load_config
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    config.add_argument("--seed", type=int, default=None)
+    config.add_argument("--set", action="append", metavar="KEY=VALUE")
 
-    sim = sub.add_parser("simulate", help="run seeded trials, write a CSV")
-    sim.add_argument("--config", required=True)
+    sim = sub.add_parser("simulate", parents=[config],
+                         help="run seeded trials, write a CSV")
     sim.add_argument("--out", required=True)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--set", action="append", metavar="KEY=VALUE")
     sim.set_defaults(func=_cmd_simulate)
 
     curve = sub.add_parser("prob-curve", help="probability floor over an eps grid")
@@ -270,10 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--out", required=True)
     curve.set_defaults(func=_cmd_prob_curve)
 
-    bnd = sub.add_parser("bounds", help="print one trial's regret certificate")
-    bnd.add_argument("--config", required=True)
-    bnd.add_argument("--seed", type=int, default=None)
-    bnd.add_argument("--set", action="append", metavar="KEY=VALUE")
+    bnd = sub.add_parser("bounds", parents=[config],
+                         help="print one trial's regret certificate")
     bnd.set_defaults(func=_cmd_bounds)
 
     ver = sub.add_parser("verify", help="run the library invariant suite")

@@ -83,8 +83,9 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
     -log(mean[(p_theta/p_true)^(1-lam)]) / (1-lam). The standard error is
     propagated through the log by the delta method. The statistics are
     merged chunk by chunk with a running-max shift; they equal a one-shot
-    computation over the same sample to rounding, and the whole estimate is
-    reproducible from the seed.
+    computation over the same sample to rounding. The estimate is
+    reproducible from the seed at a fixed BLAS thread count; under a general
+    covariance, threaded products can round differently at another count.
 
     ``_MC_CHUNK`` pins the sample stream: each chunk of that many samples
     draws its features, then its noise, from one generator. No chunk design

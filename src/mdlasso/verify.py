@@ -310,10 +310,11 @@ def check_typical_set_column_decomposition():
         X = rng.standard_normal((30, 4)) * rng.uniform(0.8, 1.2)
         cov = np.diag(rng.uniform(0.5, 2.0, size=4))
         eps = float(rng.uniform(0.05, 0.5))
-        whole = typical_set.is_typical(penalty.column_mean_squares(X), cov, eps)
+        mean_sq = penalty.column_mean_squares(X)
+        whole = typical_set.is_typical(mean_sq, cov, eps)
         per_col = all(
-            typical_set.is_typical(penalty.column_mean_squares(X[:, [j]]),
-                                   cov[j:j + 1, j:j + 1], eps)
+            typical_set.is_typical(mean_sq[j:j + 1], cov[j:j + 1, j:j + 1],
+                                   eps)
             for j in range(4))
         assert whole == per_col
 
@@ -363,9 +364,11 @@ def check_bounds_floor_identity():
     cfg = bounds.BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
     cert = bounds.regret_certificate(prob, model, cfg,
                                      lasso.solve(prob).theta_hat)
+    floor = bounds.probability_floor(prob.n, prob.p, cfg.eps, cfg.tau,
+                                     cfg.beta)
     triple = typical_set.prob_lower_bounds(prob.n, prob.p, cfg.eps)
     want = triple.exact_product - math.exp(-cfg.tau * prob.n * cfg.beta)
-    assert abs(cert.probability_floor - max(0.0, want)) <= 1e-12
+    assert abs(floor.floor - max(0.0, want)) <= 1e-12
     assert cert.bound == cert.main_term + cfg.tau
 
 

@@ -1,4 +1,5 @@
-"""Bound evaluator tests: regret main term, certificates, risk RHS, alpha bound."""
+"""Bound evaluator tests: probability floor, regret main term, certificates,
+risk RHS, alpha bound."""
 
 import math
 
@@ -8,8 +9,8 @@ import pytest
 from mdlasso import bounds as bounds_module
 from mdlasso.bounds import (BoundConfig, alpha_bound_at_probability,
                             alpha_risk_bound, hellinger_regret_bound,
-                            regret_certificate, regret_main_term,
-                            risk_bound_rhs)
+                            prob_curve, probability_floor, regret_certificate,
+                            regret_main_term, risk_bound_rhs)
 from mdlasso.divergences import AlphaOrder
 from mdlasso.errors import (InsufficientAcceptanceError,
                             InvalidCertificateError, InvalidOrderError)
@@ -64,19 +65,58 @@ class TestRegretMainTerm:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestProbCurve:
+    def test_reference_point(self):
+        # frozen: floor at (200, 1000, eps=0.5, tau=0.03, beta=0.5)
+        pts = prob_curve(200, 1000, 0.03, 0.5, np.array([0.5]))
+        assert pts[0].floor == pytest.approx(0.8050509662948975, rel=1e-12)
+        assert pts[0].chain.exact_product == pytest.approx(
+            0.8548380346627614, rel=1e-12)
+
+    def test_monotone_increasing_floor(self):
+        grid = np.linspace(0.3, 0.95, 40)
+        pts = prob_curve(200, 1000, 0.03, 0.5, grid)
+        floors = [pt.floor for pt in pts]
+        assert all(b >= a - 1e-12 for a, b in zip(floors, floors[1:]))
+
+    def test_simplified_floor_closed_form(self):
+        # 1 - 2p e^{-n eps^2 / 7} - e^{-tau n beta}, positive at eps = 0.9
+        pt = prob_curve(200, 1000, 0.03, 0.5, np.array([0.9]))[0]
+        want = 1.0 - 2000.0 * math.exp(-200 * 0.81 / 7.0) - math.exp(-3.0)
+        assert pt.simplified_floor == pytest.approx(want, rel=1e-12)
+        assert 0.0 < pt.simplified_floor < pt.floor
+
+    def test_small_eps_clamped_vacuous(self):
+        pts = prob_curve(200, 1000, 0.03, 0.5, np.array([0.01]))
+        assert pts[0].vacuous
+        assert pts[0].floor == 0.0
+
+    def test_matches_bound_chain_fields(self):
+        grid = np.array([0.4, 0.6])
+        for pt in prob_curve(100, 50, 0.1, 0.4, grid):
+            assert pt.chain == prob_lower_bounds(100, 50, pt.eps)
+
+
 class TestRegretCertificate:
     def test_large_tau_floor_approaches_exact_product(self):
-        model, prob, _ = small_instance(seed=4)
-        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 100.0)
-        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
-        triple = prob_lower_bounds(prob.n, prob.p, cfg.eps)
-        assert cert.probability_floor == pytest.approx(triple.exact_product,
-                                                       abs=1e-12)
+        floor = probability_floor(40, 8, 0.5, 100.0, 0.5)
+        triple = prob_lower_bounds(40, 8, 0.5)
+        assert floor.floor == pytest.approx(triple.exact_product, abs=1e-12)
 
     def test_kappa(self):
-        model, prob, cfg = small_instance(seed=5, tau=0.03)
-        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
-        assert cert.kappa == pytest.approx(min(0.5 ** 2 / 7.0, 0.03 * 0.5))
+        floor = probability_floor(40, 8, 0.5, 0.03, 0.5)
+        assert floor.kappa == pytest.approx(min(0.5 ** 2 / 7.0, 0.03 * 0.5))
+
+    def test_does_not_compute_the_floor(self, monkeypatch):
+        model, prob, cfg = small_instance(seed=5)
+        theta_hat = solve(prob).theta_hat
+
+        def no_floor(*_args, **_kwargs):
+            raise AssertionError("the certificate computed the floor")
+
+        monkeypatch.setattr(bounds_module, "probability_floor", no_floor)
+        cert = regret_certificate(prob, model, cfg, theta_hat)
+        assert cert.bound == cert.main_term + cfg.tau
 
     def test_rejects_insufficient_coefficients(self):
         model, prob, cfg = small_instance(seed=6)
@@ -107,11 +147,9 @@ class TestRegretCertificate:
             regret_certificate(prob, model, cfg)
 
     def test_vacuous_flagged(self):
-        model, prob, _ = small_instance(seed=9, eps=0.5)
-        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.1, 0.03)
-        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
-        assert cert.vacuous
-        assert cert.probability_floor == 0.0
+        floor = probability_floor(40, 8, 0.1, 0.03, 0.5)
+        assert floor.vacuous
+        assert floor.floor == 0.0
 
 
 class TestRiskBoundRhs:

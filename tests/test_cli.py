@@ -1,6 +1,7 @@
 """CLI tests: config parsing, CSV emission, subcommands, exit codes."""
 
 import csv
+import hashlib
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mdlasso import cli, verify
-from mdlasso.bounds import prob_curve, regret_certificate
+from mdlasso.bounds import prob_curve, probability_floor, regret_certificate
 from mdlasso.cli import (emit_csv, emit_prob_curve_csv, main, parse_config)
 from mdlasso.errors import ConfigError
 from mdlasso.lasso import LassoProblem, solve
@@ -18,6 +19,8 @@ from mdlasso.sim import TrialRecord
 from mdlasso.typical_set import is_typical
 
 MINIMAL = "n = 50\np = 20\nsnr = 1.5\nseed = 42\n"
+# a config whose trial 0 iterates (MINIMAL's returns 0 at once)
+ITERATING = "n = 60\np = 30\nsigma2 = 0.4\nseed = 3\neps = 0.9\ntau = 0.2\n"
 
 
 def make_record(i, value=0.5):
@@ -200,6 +203,15 @@ class TestSubcommands:
         assert float(row[0]) == pytest.approx(0.5)
         assert float(row[4]) == pytest.approx(0.8050509662949, rel=1e-9)
 
+    def test_prob_curve_csv_pinned(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["prob-curve", "--n", "200", "--p", "1000",
+                     "--tau", "0.03", "--beta", "0.5", "--eps-min", "0.01",
+                     "--eps-max", "0.95", "--steps", "61",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8f7f6f5b31625a992998fd7f6492d303cb266bc77e0b36f2ae72d8374094ce30")
+
     def test_bounds_subcommand(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         code = main(["bounds", "--config", cfg])
@@ -302,6 +314,7 @@ def reference_bounds(args) -> int:
     prob = LassoProblem(X, Y, sigma2, coeffs)
     report = solve(prob)
     cert = regret_certificate(prob, model, bc, theta_hat=report.theta_hat)
+    floor = probability_floor(cfg.n, cfg.p, bc.eps, bc.tau, bc.beta)
     items = [
         ("n", cfg.n), ("p", cfg.p),
         ("lambda", bc.order.lam), ("beta", bc.beta),
@@ -309,10 +322,10 @@ def reference_bounds(args) -> int:
         ("snr", cfg.snr), ("sigma2", sigma2),
         ("mu1", coeffs.mu1), ("mu2", coeffs.mu2),
         ("main_term", cert.main_term), ("regret_bound", cert.bound),
-        ("probability_floor", cert.probability_floor),
-        ("simplified_floor", cert.simplified_floor),
-        ("kappa", cert.kappa),
-        ("vacuous", str(cert.vacuous).lower()),
+        ("probability_floor", floor.floor),
+        ("simplified_floor", floor.simplified_floor),
+        ("kappa", floor.kappa),
+        ("vacuous", str(floor.vacuous).lower()),
         ("typical", str(is_typical(column_mean_squares(X), model.cov,
                                     bc.eps)).lower()),
         ("solver_converged", str(report.converged).lower()),
@@ -334,8 +347,7 @@ class TestBoundsOracle:
 
     @pytest.mark.parametrize("text, iterating", [
         (MINIMAL, False),
-        ("n = 60\np = 30\nsigma2 = 0.4\nseed = 3\neps = 0.9\ntau = 0.2\n",
-         True),
+        (ITERATING, True),
     ])
     def test_stdout_matches_reference(self, tmp_path, capsys, text, iterating):
         path = tmp_path / "b.cfg"
@@ -346,6 +358,13 @@ class TestBoundsOracle:
         assert got == capsys.readouterr().out
         assert (int(got.split("solver_iterations = ")[1].split()[0]) > 0) \
             == iterating
+
+    def test_iterating_stdout_pinned(self, tmp_path, capsys):
+        path = tmp_path / "b.cfg"
+        path.write_text(ITERATING)
+        got = self.run(capsys, ["bounds", "--config", str(path)])
+        assert hashlib.sha256(got.encode()).hexdigest() == (
+            "9a376dad81cdfc4165aea4685965f61e2e6b3350a91be00bd445eb20b3cdb968")
 
     @pytest.mark.parametrize("header, extra, env, seed, snr", [
         ("seed = 42\n", [], None, 42, 1.5),

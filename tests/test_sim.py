@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mdlasso import sim
-from mdlasso.bounds import prob_curve
 from mdlasso.cli import CONFIG_KEYS, emit_csv, main, parse_config
 from mdlasso.divergences import bhattacharyya
 from mdlasso.errors import NumericalFailureError
@@ -21,7 +20,7 @@ from mdlasso.penalty import column_mean_squares, min_coefficients
 from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
                          run_trial)
 from mdlasso.seeding import substream
-from mdlasso.typical_set import is_typical, prob_lower_bounds
+from mdlasso.typical_set import is_typical
 
 SMALL = dict(n=50, p=20, eps=0.9, tau=0.2, sparsity=5)
 # trials 2, 7, 8, 10 and 11 return theta = 0 after 0 iterations, the rest iterate
@@ -332,37 +331,3 @@ class TestIdentityCovariance:
                               renyi_hess(explicit, theta, order))
         assert hessian_bound_gap(implicit, theta, order) \
             == hessian_bound_gap(explicit, theta, order)
-
-
-class TestProbCurve:
-    def test_reference_point(self):
-        # frozen: floor at (200, 1000, eps=0.5, tau=0.03, beta=0.5)
-        pts = prob_curve(200, 1000, 0.03, 0.5, np.array([0.5]))
-        assert pts[0].floor == pytest.approx(0.8050509662948975, rel=1e-12)
-        assert pts[0].floor_exact == pytest.approx(0.8548380346627614, rel=1e-12)
-
-    def test_monotone_increasing_floor(self):
-        grid = np.linspace(0.3, 0.95, 40)
-        pts = prob_curve(200, 1000, 0.03, 0.5, grid)
-        floors = [pt.floor for pt in pts]
-        assert all(b >= a - 1e-12 for a, b in zip(floors, floors[1:]))
-
-    def test_simplified_floor_closed_form(self):
-        # 1 - 2p e^{-n eps^2 / 7} - e^{-tau n beta}, positive at eps = 0.9
-        pt = prob_curve(200, 1000, 0.03, 0.5, np.array([0.9]))[0]
-        want = 1.0 - 2000.0 * math.exp(-200 * 0.81 / 7.0) - math.exp(-3.0)
-        assert pt.simplified_floor == pytest.approx(want, rel=1e-12)
-        assert 0.0 < pt.simplified_floor < pt.floor
-
-    def test_small_eps_clamped_vacuous(self):
-        pts = prob_curve(200, 1000, 0.03, 0.5, np.array([0.01]))
-        assert pts[0].vacuous
-        assert pts[0].floor == 0.0
-
-    def test_matches_bound_chain_fields(self):
-        grid = np.array([0.4, 0.6])
-        for pt in prob_curve(100, 50, 0.1, 0.4, grid):
-            t = prob_lower_bounds(100, 50, pt.eps)
-            assert pt.floor_exact == t.exact_product
-            assert pt.floor_linear == t.linearized
-            assert pt.floor_simplified == t.simplified
