@@ -13,8 +13,11 @@ of that experiment: the same draw, solve and certificate as CSV row 0.
 
 Config documents are one ``key = value`` per line with ``#`` comments. The
 closed key set is ``CONFIG_KEYS`` (n, p, snr, sigma2, seed, num_trials,
-lambda, beta, eps, tau, sparsity, magnitude). Unknown keys, type mismatches,
-and range violations are rejected with the offending line number. Command-line ``--set key=value``
+lambda, beta, eps, tau, sparsity, magnitude). Unknown or duplicate keys,
+type mismatches, and a value out of its own range are rejected with the
+offending line number; a rule that ties a value to another key (sparsity
+at most p, lambda <= 1 - beta, exactly one of snr and sigma2) is checked on
+the whole config and rejected without one. Command-line ``--set key=value``
 overrides take precedence over file values; the MDLASSO_SEED environment
 variable supplies a default seed but the --seed flag and the file win.
 
@@ -35,28 +38,20 @@ from .sim import ExperimentConfig, TrialRecord, run_experiment, run_trial
 _ENV_SEED = "MDLASSO_SEED"
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-# key -> (parser, validator, description); validators raise ValueError
+# key -> (parser, validator, description); a parser raises ValueError
 CONFIG_KEYS = {
-    "n": (_parse_int, lambda v: v >= 1, "integer >= 1"),
-    "p": (_parse_int, lambda v: v >= 1, "integer >= 1"),
-    "snr": (_parse_float, lambda v: v > 0.0, "positive real"),
-    "sigma2": (_parse_float, lambda v: v > 0.0, "positive real"),
-    "seed": (_parse_int, lambda v: True, "integer"),
-    "num_trials": (_parse_int, lambda v: v >= 1, "integer >= 1"),
-    "lambda": (_parse_float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
-    "beta": (_parse_float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
-    "eps": (_parse_float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
-    "tau": (_parse_float, lambda v: v > 0.0, "positive real"),
-    "sparsity": (_parse_int, lambda v: v >= 1, "integer >= 1"),
-    "magnitude": (_parse_float, lambda v: v != 0.0, "non-zero real"),
+    "n": (int, lambda v: v >= 1, "integer >= 1"),
+    "p": (int, lambda v: v >= 1, "integer >= 1"),
+    "snr": (float, lambda v: v > 0.0, "positive real"),
+    "sigma2": (float, lambda v: v > 0.0, "positive real"),
+    "seed": (int, lambda v: True, "integer"),
+    "num_trials": (int, lambda v: v >= 1, "integer >= 1"),
+    "lambda": (float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
+    "beta": (float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
+    "eps": (float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
+    "tau": (float, lambda v: v > 0.0, "positive real"),
+    "sparsity": (int, lambda v: v >= 1, "integer >= 1"),
+    "magnitude": (float, lambda v: v != 0.0, "non-zero real"),
 }
 
 _REQUIRED_KEYS = ("n", "p")

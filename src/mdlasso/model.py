@@ -72,8 +72,11 @@ class GaussianLinearModel:
         theta = np.asarray(self.theta_star, dtype=np.float64).reshape(-1)
         if theta.size == 0:
             raise ValueError("theta_star must be non-empty")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not np.isfinite(theta).all():
+            raise ValueError("theta_star must be finite")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError(
+                f"sigma2 must be positive and finite, got {self.sigma2}")
         cov = root = None
         if self.cov is not None:
             cov = check_symmetric(self.cov, "feature covariance")

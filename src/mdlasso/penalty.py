@@ -41,15 +41,19 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If X is not 2-D or any column is identically zero.
+        If X is not 2-D, or any column is identically zero, holds a
+        non-finite entry, or has a mean square that overflows.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
     mean_sq = np.einsum("ij,ij->j", X, X) / X.shape[0]
-    if not np.all(mean_sq > 0.0):
-        dead = int(np.argmin(mean_sq))
-        raise ValueError(f"column {dead} of the design matrix is identically zero")
+    valid = (mean_sq > 0.0) & (mean_sq < np.inf)  # False for NaN too
+    if not valid.all():
+        j = int(np.argmin(valid))
+        what = ("is identically zero" if mean_sq[j] == 0.0 else
+                "has a non-finite entry or a mean square that overflows")
+        raise ValueError(f"column {j} of the design matrix {what}")
     return mean_sq
 
 

@@ -152,7 +152,13 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregates over the converged trials of one experiment."""
+    """Aggregates over the trials of one experiment.
+
+    ``num_trials`` and ``typical_fraction`` count every trial. The dominance
+    and ratio aggregates (``num_dominated``, ``dominance_fraction``,
+    ``mean_bound_ratio``) are over the ``num_converged`` converged trials
+    only.
+    """
 
     num_trials: int
     num_converged: int

@@ -348,6 +348,7 @@ def check_lasso_orthonormal_closed_form():
     report = lasso.solve(prob, tol=1e-10)
     closed = lasso.soft_threshold(X.T @ Y / n, coeffs.mu1 * 1.0)
     assert np.max(np.abs(report.theta_hat - closed)) <= 1e-6
+    assert np.all(np.diff(report.objective_trace) <= 1e-12)
 
 
 def check_lasso_paper_scale():
@@ -356,6 +357,7 @@ def check_lasso_paper_scale():
     report = lasso.solve(prob)
     assert report.converged and report.iterations <= 5000
     assert report.kkt_residual <= 1e-6
+    assert np.all(np.diff(report.objective_trace) <= 1e-12)
 
 
 def check_bounds_floor_identity():
@@ -418,6 +420,8 @@ def check_sim_dominance_floor():
                                num_trials=1000,
                                eps=0.9, tau=0.2)
     records, summary = sim.run_experiment(cfg)
+    # every trial converges, so the fraction below is over all 1000 trials
+    assert summary.num_converged == 1000
     cert_floor = typical_set.prob_lower_bounds(50, 20, 0.9).exact_product \
         - math.exp(-0.2 * 50 * 0.5)
     k = summary.num_converged

@@ -87,6 +87,13 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="zero"):
             LassoProblem(X, np.zeros(2), 1.0, PenaltyCoefficients(1.0, 1.0))
 
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf])
+    def test_rejects_non_finite_response(self, entry):
+        Y = np.zeros(2)
+        Y[1] = entry
+        with pytest.raises(ValueError, match="Y must be finite"):
+            LassoProblem(np.eye(2), Y, 1.0, PenaltyCoefficients(1.0, 1.0))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LassoProblem(np.ones((3, 2)), np.zeros(4), 1.0,

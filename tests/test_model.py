@@ -31,6 +31,13 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             GaussianLinearModel(np.zeros(2), 0.0, np.eye(2))
 
+    @pytest.mark.parametrize("theta_star, sigma2",
+                             [([1.0, np.nan], 1.0), ([1.0, 0.0], np.inf)],
+                             ids=["nan_theta_star", "inf_sigma2"])
+    def test_rejects_non_finite(self, theta_star, sigma2):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianLinearModel(np.array(theta_star), sigma2)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             GaussianLinearModel(np.zeros(3), 1.0, np.eye(2))

@@ -41,6 +41,14 @@ class TestColumnMeanSquares:
         assert column_mean_squares(X)[0] == pytest.approx(
             float(np.mean(X ** 2)), rel=n * np.finfo(float).eps, abs=0.0)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200],
+                             ids=["nan", "inf", "square_overflows"])
+    def test_names_a_non_finite_column(self, entry):
+        X = np.ones((3, 3))
+        X[1, 2] = entry
+        with pytest.raises(ValueError, match="column 2 .* non-finite entry"):
+            column_mean_squares(X)
+
     def test_no_n_by_p_temporary(self):
         X = np.random.default_rng(5).standard_normal((200, 1000))
         tracemalloc.start()
@@ -123,10 +131,11 @@ class TestDesignRatio:
         assert design_ratio(DivergenceOrder(1e-12)) == pytest.approx(1.0, abs=1e-9)
 
     def test_worked_values(self):
+        # sqrt(8.5 / 4) and sqrt(8.9 / 0.8)
         assert design_ratio(DivergenceOrder(0.5)) == pytest.approx(
-            1.4577379737113252, rel=1e-12)
+            1.4577379737113252, abs=1e-12)
         assert design_ratio(DivergenceOrder(0.9)) == pytest.approx(
-            3.335416016031584, rel=1e-12)
+            3.335416016031584, abs=1e-12)
 
 
 class TestGridCodelength:
@@ -176,15 +185,6 @@ class TestKraftSum:
     def test_beta_cancels(self):
         for beta in (0.1, 0.5, 0.9, 1.0):
             assert kraft_sum(17, beta) == kraft_sum(17, 0.5)
-
-    def test_truncated_enumeration_p2(self):
-        # direct enumeration over ||z||_1 <= 8 agrees to ~1.6e-7
-        total = 0.0
-        for z1 in range(-8, 9):
-            for z2 in range(-8, 9):
-                if abs(z1) + abs(z2) <= 8:
-                    total += 8.0 ** -(abs(z1) + abs(z2))
-        assert abs(0.5 * total - kraft_sum(2, 0.5)) < 2e-7
 
 
 class TestRandomizeQuantize:
