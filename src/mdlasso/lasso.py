@@ -58,8 +58,9 @@ class LassoProblem:
                 f"Y has {Y.shape[0]} entries but X has {X.shape[0]} rows")
         if not np.isfinite(Y).all():
             raise ValueError("Y must be finite")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError(
+                f"sigma2 must be positive and finite, got {self.sigma2}")
         mean_sq = column_mean_squares(X)  # rejects zero or non-finite columns
         for name, val in (("X", X), ("Y", Y), ("mean_sq", mean_sq),
                           ("w", np.sqrt(mean_sq))):

@@ -33,7 +33,7 @@ from .divergences import bhattacharyya, hellinger_sq
 from .lasso import LassoProblem, SolveReport, solve
 from .model import DivergenceOrder, GaussianLinearModel
 from .penalty import min_coefficients
-from .seeding import substream
+from .seeding import substream, usable_cpus
 from .typical_set import is_typical
 
 DEFAULT_SPARSITY = 10
@@ -208,7 +208,7 @@ def _worker_count(num_trials: int) -> int:
             or threading.active_count() > 1
             or (mp is not None and mp.current_process().daemon)):
         return 1
-    return min(len(os.sched_getaffinity(0)), num_trials)
+    return min(usable_cpus(), num_trials)
 
 
 # OpenBLAS's thread-count setter under the names its builds export

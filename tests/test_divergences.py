@@ -6,6 +6,7 @@ law, per-sample log likelihood ratios transformed by the integrand of the
 divergence in question.
 """
 
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from mdlasso.divergences import (AlphaOrder, McEstimate, alpha_div,
                                  renyi_mc)
 from mdlasso.errors import InvalidOrderError
 from mdlasso.model import DivergenceOrder, GaussianLinearModel, renyi_div
-from mdlasso.seeding import substream
+from mdlasso.seeding import chunk_stream
 from mdlasso.verify import random_model, random_spd
 
 
@@ -35,18 +36,15 @@ def mc_integrand_mean(model, theta, transform, num, seed):
 
 
 def whole_chunk_renyi_mc(model, theta, order, num_samples, seed):
-    """``renyi_mc`` as it was before row blocks: each chunk's whole design."""
+    """``renyi_mc`` on one thread with each chunk's design drawn whole."""
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     lam = order.lam
-    rng = substream(seed)
     sigma = math.sqrt(model.sigma2)
 
-    shift = -math.inf
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    while done < num_samples:
-        m = min(dv._MC_CHUNK, num_samples - done)
+    stats = []
+    for c, lo in enumerate(range(0, num_samples, dv._MC_CHUNK)):
+        rng = chunk_stream(seed, c)
+        m = min(dv._MC_CHUNK, num_samples - lo)
         X = model.draw_features(rng, m)
         y = X @ model.theta_star + sigma * rng.standard_normal(m)
         resid_true = y - X @ model.theta_star
@@ -54,15 +52,15 @@ def whole_chunk_renyi_mc(model, theta, order, num_samples, seed):
         log_ratio = (resid_true ** 2 - resid_theta ** 2) / (2.0 * model.sigma2)
         a = (1.0 - lam) * log_ratio
         chunk_max = float(np.max(a))
-        if chunk_max > shift:
-            rescale = math.exp(shift - chunk_max) if math.isfinite(shift) else 0.0
-            s1 *= rescale
-            s2 *= rescale * rescale
-            shift = chunk_max
-        r = np.exp(a - shift)
-        s1 += float(np.sum(r))
-        s2 += float(np.sum(r * r))
-        done += m
+        r = np.exp(a - chunk_max)
+        stats.append((chunk_max, float(np.sum(r)), float(np.sum(r * r))))
+    shift = max(chunk_max for chunk_max, _, _ in stats)
+    s1 = 0.0
+    s2 = 0.0
+    for chunk_max, t1, t2 in stats:
+        rescale = math.exp(chunk_max - shift)
+        s1 += t1 * rescale
+        s2 += t2 * rescale * rescale
 
     mean_r = s1 / num_samples
     var_r = max(0.0, (s2 - s1 * s1 / num_samples) / (num_samples - 1))
@@ -110,8 +108,6 @@ class TestRenyiMc:
     def test_streaming_merge_matches_one_shot(self, monkeypatch):
         # force the chunked path, regenerate the identical sample layout,
         # and compare against a one-shot log-mean-exp with delta-method SE
-        import mdlasso.divergences as dv
-        from mdlasso.seeding import substream
         m = GaussianLinearModel(np.zeros(2), 1.0, np.eye(2))
         theta = np.array([1.0, 2.0])
         order = DivergenceOrder(0.5)
@@ -119,16 +115,14 @@ class TestRenyiMc:
         monkeypatch.setattr(dv, "_MC_CHUNK", chunk)
         got = renyi_mc(m, theta, order, num, seed=seed)
 
-        rng = substream(seed)
         parts = []
-        done = 0
-        while done < num:
+        for c, done in enumerate(range(0, num, chunk)):
+            rng = chunk_stream(seed, c)
             k = min(chunk, num - done)
             X = m.draw_features(rng, k)
             y = X @ m.theta_star + rng.standard_normal(k)
             lr = ((y - X @ m.theta_star) ** 2 - (y - X @ theta) ** 2) / 2.0
             parts.append((1 - order.lam) * lr)
-            done += k
         a = np.concatenate(parts)
         shift = a.max()
         r = np.exp(a - shift)
@@ -136,6 +130,33 @@ class TestRenyiMc:
         want_se = (r.std(ddof=1) / (r.mean() * math.sqrt(num))) / (1 - order.lam)
         assert got.value == pytest.approx(want, rel=1e-12)
         assert got.std_error == pytest.approx(want_se, rel=1e-9)
+
+    @pytest.mark.parametrize("general_cov", [False, True],
+                             ids=["identity", "spd"])
+    def test_same_bits_on_any_cpu_count(self, monkeypatch, general_cov):
+        # five chunks, the last ragged, on one thread and on 2, 3 and 5
+        # threads, and 8 CPUs capped at one thread per chunk
+        pools = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        rng = np.random.default_rng(47)
+        p = 6
+        cov = random_spd(rng, p) if general_cov else None
+        m = GaussianLinearModel(rng.standard_normal(p), 0.8, cov)
+        theta = m.theta_star + 0.5 * rng.standard_normal(p)
+        order = DivergenceOrder(0.3)
+        monkeypatch.setattr(dv, "usable_cpus", lambda: 1)
+        want = renyi_mc(m, theta, order, 4 * dv._MC_CHUNK + 901, seed=5)
+        for cpus in (2, 3, 5, 8):
+            monkeypatch.setattr(dv, "usable_cpus", lambda: cpus)
+            assert renyi_mc(m, theta, order, 4 * dv._MC_CHUNK + 901,
+                            seed=5) == want, f"{cpus} CPUs"
+        assert pools == [1, 2, 3, 5, 5]
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("general_cov", [False, True],
@@ -160,8 +181,9 @@ class TestRenyiMc:
                 whole_chunk_renyi_mc(m, theta, order, 3500, seed)
 
     @pytest.mark.parametrize("p", [100, 1000])
-    def test_peak_memory_does_not_grow_with_p(self, p):
-        # one full 65 536-sample chunk and a ragged second one
+    def test_peak_memory_does_not_grow_with_p(self, monkeypatch, p):
+        # four full 16 384-sample chunks and a ragged fifth, on two threads
+        monkeypatch.setattr(dv, "usable_cpus", lambda: 2)
         m = GaussianLinearModel(np.full(p, 0.1), 1.0, None)
         tracemalloc.start()
         try:

@@ -94,6 +94,13 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="Y must be finite"):
             LassoProblem(np.eye(2), Y, 1.0, PenaltyCoefficients(1.0, 1.0))
 
+    @pytest.mark.parametrize("sigma2", [0.0, np.nan, np.inf])
+    def test_rejects_non_finite_or_nonpositive_sigma2(self, sigma2):
+        # sigma2 = inf once passed and solved to a "converged" theta = 0
+        with pytest.raises(ValueError, match="positive and finite"):
+            LassoProblem(np.eye(3), np.ones(3), sigma2,
+                         PenaltyCoefficients(0.1, 0.01))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LassoProblem(np.ones((3, 2)), np.zeros(4), 1.0,

@@ -12,7 +12,7 @@ import pytest
 
 from mdlasso import sim
 from mdlasso.cli import CONFIG_KEYS, emit_csv, main, parse_config
-from mdlasso.divergences import bhattacharyya
+from mdlasso.divergences import bhattacharyya, renyi_mc
 from mdlasso.errors import NumericalFailureError
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            hessian_bound_gap, renyi_hess, tilted)
@@ -289,6 +289,17 @@ class TestTrialPool:
             release.set()
             other.join()
         assert pids() == {os.getpid()}
+
+    def test_pool_after_threaded_renyi_mc(self, monkeypatch, tmp_path):
+        # renyi_mc joins its threads, so the trial pool may still fork
+        cpus(monkeypatch, 2)
+        before = threading.active_count()
+        model = GaussianLinearModel(np.zeros(3), 1.0, None)
+        renyi_mc(model, np.ones(3), DivergenceOrder(0.5), 40_000, seed=1)
+        assert threading.active_count() == before
+        pids = trial_pids(monkeypatch, tmp_path)
+        run_experiment(parse_config(MIXED_DOC))
+        assert os.getpid() not in pids()
 
     def test_finds_the_openblas_thread_setter(self):
         try:
