@@ -19,10 +19,11 @@ conditional expectation over typical designs (estimated here by rejection
 sampling, which realizes the conditional law exactly) plus the closed-form
 penalty -p log(1 - 2 e^{-D}) / (n beta).
 
-The true typical-set probability P is not computable; wherever a bound needs
-it (the alpha-divergence bound below), the exact_product lower bound is
-substituted. The substitution is conservative only while P >= 1/e, where
-P log(1/P) and (1 - P) are both decreasing, so that regime is asserted.
+The true typical-set probability P is not computed here, although at
+cov = I it is a product of per-column chi-square probabilities; wherever a
+bound needs it (the alpha-divergence bound below), the exact_product lower
+bound is substituted. The substitution is conservative only while P >= 1/e,
+where P log(1/P) and (1 - P) are both decreasing, so that regime is asserted.
 """
 
 import math
@@ -267,9 +268,9 @@ def alpha_risk_bound(redundancy_estimate: float, config: BoundConfig,
                      a: AlphaOrder, n: int, p: int) -> float:
     """Upper bound on the expected n-sample alpha-divergence.
 
-    Substitutes the exact_product lower bound for the unavailable true
-    typical-set probability; requires that bound to be >= 1/e so the
-    substitution is conservative.
+    Substitutes the exact_product lower bound for the true typical-set
+    probability, which is not computed here; requires that bound to be
+    >= 1/e so the substitution is conservative.
 
     Raises
     ------

@@ -161,39 +161,33 @@ def check_model_kl_limit():
             assert abs(d - kl) <= rtol * kl, f"lam={lam}: {d} vs {kl}"
 
 
-def check_model_draw_row_split():
-    """The two facts behind ``renyi_mc``'s row blocks, on random models.
+def check_model_draw_law():
+    """``draw_features`` rows have covariance cov, and their fits x^T delta
+    have variance delta^T cov delta, on random models with the identity or
+    an SPD covariance and p up to 120, each to within 6 SE.
 
-    Drawing a chunk block by block gives the same bytes as drawing it whole
-    (at the estimator's block size, with a ragged last block), and the fits
-    of blocks laid out by ``row_blocks`` equal the rows of one product over
-    the chunk. The fits are checked with the 4 to 64 rows ``block_rows``
-    gives for 4096 <= p <= 65536, so that every product (at most 46 080
-    entries) is one that OpenBLAS forms on one thread at any thread setting.
+    The second fact is the one ``renyi_mc`` rests on when it draws the fit
+    gap d ~ N(0, t) in place of the features. With the mean known to be 0,
+    entry (i, j) of X^T X / n has variance (cov_ij^2 + cov_ii cov_jj) / n,
+    and the mean of (X delta)^2 has variance 2 t^2 / n.
     """
     rng = substream(112)
+    n = 4000
     for i in range(12):
         m = random_model(rng, p_max=120)
         if i % 2:
             m = GaussianLinearModel(m.theta_star, m.sigma2, None)
-        rows = divergences.block_rows(m.dim)
-        n = int(rng.integers(2 * rows + 1, 3 * rows))
-        whole = m.draw_features(substream(9000 + i), n)
-        split = substream(9000 + i)
-        for lo, hi in divergences.row_blocks(n, rows):
-            block = m.draw_features(split, hi - lo)
-            assert block.tobytes() == whole[lo:hi].tobytes(), \
-                f"p={m.dim}: rows {lo}:{hi} drawn apart differ"
+        cov = np.eye(m.dim) if m.cov is None else m.cov
+        X = m.draw_features(substream(9000 + i), n)
+        diag = np.diag(cov)
+        se = np.sqrt((cov ** 2 + np.outer(diag, diag)) / n)
+        z_cov = np.max(np.abs(X.T @ X / n - cov) / se)
+        assert z_cov <= 6.0, f"p={m.dim}: sample covariance {z_cov:.2f} SE off"
 
-        theta = m.theta_star + rng.standard_normal(m.dim)
-        rows = divergences.block_rows(int(rng.integers(4096, 65537)))  # 4..64
-        n = int(rng.integers(2 * rows + 1, 6 * rows))
-        X = m.draw_features(substream(9100 + i), n)
-        fit = np.empty(n)
-        for lo, hi in divergences.row_blocks(n, rows):
-            np.matmul(X[lo:hi], theta, out=fit[lo:hi])
-        assert fit.tobytes() == (X @ theta).tobytes(), \
-            f"p={m.dim}: block fits differ from the whole product"
+        delta = rng.standard_normal(m.dim)
+        t = float(delta @ cov @ delta)
+        z_fit = abs(float(np.mean((X @ delta) ** 2)) - t) / (t * math.sqrt(2 / n))
+        assert z_fit <= 6.0, f"p={m.dim}: fit variance {z_fit:.2f} SE off"
 
 
 def check_divergences_mc_agreement():
@@ -446,7 +440,7 @@ CHECKS = [
     ("model.hessian_domination", check_model_hessian_domination),
     ("model.tilted_consistency", check_model_tilted_consistency),
     ("model.kl_limit", check_model_kl_limit),
-    ("model.draw_row_split", check_model_draw_row_split),
+    ("model.draw_law", check_model_draw_law),
     ("divergences.mc_agreement", check_divergences_mc_agreement),
     ("divergences.alpha_properties", check_divergences_alpha_properties),
     ("penalty.kraft", check_penalty_kraft),

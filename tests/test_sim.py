@@ -290,8 +290,8 @@ class TestTrialPool:
             other.join()
         assert pids() == {os.getpid()}
 
-    def test_pool_after_threaded_renyi_mc(self, monkeypatch, tmp_path):
-        # renyi_mc joins its threads, so the trial pool may still fork
+    def test_pool_after_renyi_mc(self, monkeypatch, tmp_path):
+        # renyi_mc starts no thread, so the trial pool may still fork
         cpus(monkeypatch, 2)
         before = threading.active_count()
         model = GaussianLinearModel(np.zeros(3), 1.0, None)
