@@ -38,6 +38,7 @@ from .errors import (InsufficientAcceptanceError, InvalidCertificateError,
 from .lasso import LassoProblem, objective, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
 from .penalty import PenaltyCoefficients, min_coefficients
+from .pool import map_indices
 from .seeding import substream
 from .typical_set import ProbBoundTriple, is_typical, prob_lower_bounds
 
@@ -194,6 +195,13 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
     which realizes the conditional expectation exactly. Each accepted
     draw is solved and its main term is that of ``regret_certificate``,
     which checks the draw after the solve; rejected draws are not checked.
+    The penalty term is taken at the size (n, p) of the last accepted draw.
+
+    Draw i is drawn from the (seed, i) substream and the draws run on
+    ``pool.map_indices``, so the estimate does not depend on the CPU count.
+    ``prob_generator`` may therefore run in forked worker processes: its
+    side effects there (a counter it bumps, state its closure holds) are
+    not seen by the caller.
 
     Raises
     ------
@@ -207,23 +215,27 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
     """
     if num_mc < 100:
         raise ValueError(f"num_mc must be >= 100, got {num_mc}")
-    mains = []
-    renyis = []
-    n = p = None
-    for i in range(num_mc):
+
+    def draw(i: int):
+        """None for a rejected draw; main term, divergence, n and p for an
+        accepted one."""
         prob = prob_generator(substream(seed, i))
-        n, p = prob.n, prob.p
         if not is_typical(prob.mean_sq, model.cov, config.eps):
-            continue
+            return None
         report = solve(prob)
-        mains.append(regret_certificate(prob, model, config,
-                                        report.theta_hat).main_term)
-        renyis.append(renyi_div(model, report.theta_hat, config.order))
-    accepted = len(mains)
+        main = regret_certificate(prob, model, config,
+                                  report.theta_hat).main_term
+        return (main, renyi_div(model, report.theta_hat, config.order),
+                prob.n, prob.p)
+
+    draws = [d for d in map_indices(draw, num_mc) if d is not None]
+    accepted = len(draws)
     if accepted < 10:
         raise InsufficientAcceptanceError(
             f"only {accepted} of {num_mc} draws were eps-typical; "
             f"need at least 10")
+    mains, renyis, ns, ps = zip(*draws)
+    n, p = ns[-1], ps[-1]
 
     triple = prob_lower_bounds(n, p, config.eps)
     if triple.vacuous:

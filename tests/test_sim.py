@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdlasso import sim
+from mdlasso import pool, sim
 from mdlasso.cli import CONFIG_KEYS, emit_csv, main, parse_config
 from mdlasso.divergences import bhattacharyya, renyi_mc
 from mdlasso.errors import NumericalFailureError
@@ -175,7 +175,7 @@ class TestRunExperiment:
 
 
 def cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(pool, "usable_cpus", lambda: count)
 
 
 def trial_pids(monkeypatch, tmp_path):
@@ -263,7 +263,7 @@ class TestTrialPool:
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {count}\n")
 
-        monkeypatch.setattr(sim, "_blas_thread_setter", lambda: setter)
+        monkeypatch.setattr(pool, "_blas_thread_setter", lambda: setter)
         pids = trial_pids(monkeypatch, tmp_path)
         run_experiment(parse_config(MIXED_DOC))
         calls = [line.split() for line in log.read_text().splitlines()]
@@ -272,7 +272,7 @@ class TestTrialPool:
 
     def test_no_blas_setter_runs_in_process(self, monkeypatch, tmp_path):
         cpus(monkeypatch, 2)
-        monkeypatch.setattr(sim, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(pool, "_blas_thread_setter", lambda: None)
         pids = trial_pids(monkeypatch, tmp_path)
         run_experiment(parse_config(MIXED_DOC))
         assert pids() == {os.getpid()}
@@ -308,7 +308,7 @@ class TestTrialPool:
             pytest.skip("numpy does not report its BLAS")
         if "openblas" not in blas:
             pytest.skip(f"numpy uses {blas}, not OpenBLAS")
-        assert sim._blas_thread_setter() is not None
+        assert pool._blas_thread_setter() is not None
 
     def test_no_worker_outlives_the_run(self, monkeypatch):
         cpus(monkeypatch, 2)
