@@ -20,10 +20,10 @@ sampling, which realizes the conditional law exactly) plus the closed-form
 penalty -p log(1 - 2 e^{-D}) / (n beta).
 
 The true typical-set probability P is not computed here, although at
-cov = I it is a product of per-column chi-square probabilities; wherever a
-bound needs it (the alpha-divergence bound below), the exact_product lower
-bound is substituted. The substitution is conservative only while P >= 1/e,
-where P log(1/P) and (1 - P) are both decreasing, so that regime is asserted.
+cov = I it is a product of per-column chi-square probabilities.
+``alpha_bound_at_probability`` takes P as given, and its caller decides
+what P is. A lower bound on P in its place is conservative while that
+lower bound is >= 1/e, where P log(1/P) and (1 - P) are both decreasing.
 """
 
 import math
@@ -274,50 +274,3 @@ def alpha_bound_at_probability(redundancy_estimate: float, beta: float,
     middle = p_typical * math.log(1.0 / p_typical) / (lam_a * beta)
     tail = (1.0 - p_typical) / (lam_a * (lam_a + a.alpha))
     return redundancy_estimate / lam_a + middle + tail
-
-
-def alpha_risk_bound(redundancy_estimate: float, config: BoundConfig,
-                     a: AlphaOrder, n: int, p: int) -> float:
-    """Upper bound on the expected n-sample alpha-divergence.
-
-    Substitutes the exact_product lower bound for the true typical-set
-    probability, which is not computed here; requires that bound to be
-    >= 1/e so the substitution is conservative.
-
-    Raises
-    ------
-    InvalidOrderError
-        If alpha < 2 beta - 1 (the divergence order (1-alpha)/2 would exceed
-        1 - beta).
-    InvalidCertificateError
-        If the exact_product bound falls below 1/e.
-    """
-    if a.alpha < 2.0 * config.beta - 1.0 - 1e-12:
-        raise InvalidOrderError(
-            f"alpha={a.alpha} is inadmissible for beta={config.beta}: "
-            f"need alpha >= {2.0 * config.beta - 1.0}")
-    p_typ = prob_lower_bounds(n, p, config.eps).exact_product
-    if p_typ < math.exp(-1.0):
-        raise InvalidCertificateError(
-            f"exact_product bound {p_typ:.6g} is below 1/e; substituting it "
-            f"for the true typical-set probability would not be conservative")
-    return alpha_bound_at_probability(redundancy_estimate, config.beta, a, p_typ)
-
-
-def hellinger_regret_bound(cert: RegretCertificate) -> float:
-    """The certificate's bound read as an upper bound for twice the squared
-    Hellinger distance.
-
-    Valid only for certificates built at order 0.5, where the bounded
-    divergence chain gives 2 d_H^2 <= d_0.5 <= bound.
-
-    Raises
-    ------
-    InvalidOrderError
-        If the certificate's order is not 0.5.
-    """
-    if abs(cert.config.order.lam - 0.5) > 1e-12:
-        raise InvalidOrderError(
-            f"certificate was built at order {cert.config.order.lam}, "
-            f"need 0.5")
-    return cert.bound

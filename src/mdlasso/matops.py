@@ -1,4 +1,4 @@
-"""Symmetric-matrix utilities: square root, rank-one inverse update, eigenvalue floor.
+"""Symmetric-matrix utilities: square root and eigenvalue floor.
 
 All routines operate on plain float64 ndarrays. Inputs expected to be
 symmetric are checked to a relative tolerance of 1e-12 and symmetrized as
@@ -14,13 +14,6 @@ SYMMETRY_RTOL = 1e-12
 EIGENVALUE_CLAMP_RTOL = 1e-12
 
 
-def _as_square(S: np.ndarray, name: str) -> np.ndarray:
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {S.shape}")
-    return S
-
-
 def check_symmetric(S: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate symmetry to relative tolerance and return the symmetrized matrix.
 
@@ -30,7 +23,9 @@ def check_symmetric(S: np.ndarray, name: str = "matrix") -> np.ndarray:
         If ``S`` is not square or deviates from its transpose by more than
         ``SYMMETRY_RTOL`` relative to its largest entry.
     """
-    S = _as_square(S, name)
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {S.shape}")
     scale = float(np.max(np.abs(S))) if S.size else 0.0
     dev = float(np.max(np.abs(S - S.T))) if S.size else 0.0
     if dev > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -63,33 +58,6 @@ def sqrt_sym(S: np.ndarray) -> np.ndarray:
             f"max eigenvalue {w_max:.3e}")
     R = (V * np.sqrt(w)) @ V.T
     return (R + R.T) / 2.0
-
-
-def sherman_morrison(A_inv: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Inverse of (A + c d^T) given A_inv = A^{-1}.
-
-    Uses the rank-one update identity
-    ``(A + c d^T)^{-1} = A^{-1} - A^{-1} c d^T A^{-1} / (1 + d^T A^{-1} c)``.
-
-    Raises
-    ------
-    SingularMatrixError
-        If ``|1 + d^T A^{-1} c| <= 1e-12`` (the updated matrix is singular).
-    """
-    A_inv = _as_square(A_inv, "A_inv")
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    d = np.asarray(d, dtype=np.float64).reshape(-1)
-    m = A_inv.shape[0]
-    if c.shape[0] != m or d.shape[0] != m:
-        raise ValueError(f"update vectors must have length {m}, "
-                         f"got {c.shape[0]} and {d.shape[0]}")
-    u = A_inv @ c
-    v = d @ A_inv
-    denom = 1.0 + float(d @ u)
-    if abs(denom) <= 1e-12:
-        raise SingularMatrixError(
-            f"rank-one update is singular: 1 + d^T A^-1 c = {denom:.3e}")
-    return A_inv - np.outer(u, v) / denom
 
 
 def min_eigenvalue(S: np.ndarray) -> float:

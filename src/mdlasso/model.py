@@ -199,14 +199,6 @@ def renyi_div(model: GaussianLinearModel, theta: np.ndarray,
     return float(np.log1p(t / c) / (2.0 * (1.0 - order.lam)))
 
 
-def renyi_div_n(model: GaussianLinearModel, theta: np.ndarray,
-                order: DivergenceOrder, n: int) -> float:
-    """n-sample divergence for i.i.d. draws: exactly n times the single-sample value."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return n * renyi_div(model, theta, order)
-
-
 def renyi_grad(model: GaussianLinearModel, theta: np.ndarray,
                order: DivergenceOrder) -> np.ndarray:
     """Gradient of renyi_div at theta: (lam/sigma2) c/(c+t) cov (theta - theta_star)."""

@@ -57,18 +57,6 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     return mean_sq
 
 
-def population_weights(cov: np.ndarray) -> np.ndarray:
-    """Population weights w_star_j = sqrt(cov_jj) of a p x p covariance."""
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(
-            f"covariance must be a square matrix, got shape {cov.shape}")
-    diag = np.diag(cov)
-    if not np.all(diag > 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
-    return np.sqrt(diag)
-
-
 def weighted_l1(theta: np.ndarray, w: np.ndarray) -> float:
     """Weighted l1 norm sum_j w_j |theta_j|."""
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
@@ -169,11 +157,12 @@ def grid_codelength(z: np.ndarray, p: int, beta: float) -> float:
     return (float(np.sum(np.abs(z))) * math.log(4.0 * p) + math.log(2.0)) / beta
 
 
-def kraft_sum(p: int, beta: float) -> float:
-    """Exact value of sum_{z in Z^p} exp(-beta * grid_codelength(z)).
+def kraft_sum(p: int) -> float:
+    """Exact value of sum_{z in Z^p} exp(-beta * grid_codelength(z, p, beta)).
 
-    beta cancels (exp(-beta L) = (4p)^{-||z||_1} / 2), and the sum over the
-    infinite grid factorizes into a geometric series per coordinate:
+    beta cancels (exp(-beta L) = (4p)^{-||z||_1} / 2), so the sum takes no
+    beta, and the sum over the infinite grid factorizes into a geometric
+    series per coordinate:
 
         (1/2) (1 + 2 / (4p - 1))^p,
 
@@ -182,18 +171,15 @@ def kraft_sum(p: int, beta: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     return 0.5 * math.exp(p * math.log1p(2.0 / (4.0 * p - 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class QuantizerSpec:
-    """Grid width delta, population weights, and codelength strength beta."""
+    """Grid width delta and population weights."""
 
     delta: float
     w_star: np.ndarray
-    beta: float
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -201,8 +187,6 @@ class QuantizerSpec:
         w = np.asarray(self.w_star, dtype=np.float64).reshape(-1)
         if not np.all(w > 0.0):
             raise ValueError("w_star entries must be strictly positive")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         object.__setattr__(self, "w_star", w)
 
 

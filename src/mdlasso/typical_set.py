@@ -76,21 +76,17 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
     return bool(np.all(ratio >= 1.0 - eps) and np.all(ratio <= 1.0 + eps))
 
 
-def sanov_exponent(n: int, eps: float, side: str) -> float:
-    """Gamma-tail exponent D for the requested side.
+def sanov_exponent(n: int, eps: float) -> float:
+    """Upper-tail Gamma exponent D = (n/2)(eps - log(1 + eps)).
 
-    upper: (n/2)(eps - log(1 + eps));  lower: (n/2)(-eps - log(1 - eps)).
-    The lower exponent dominates the upper one for every eps in (0, 1).
+    The lower tail's exponent (n/2)(-eps - log(1 - eps)) dominates it for
+    every eps in (0, 1), so 2 e^{-D} bounds both tails together.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if side == "upper":
-        return (n / 2.0) * (eps - math.log1p(eps))
-    if side == "lower":
-        return (n / 2.0) * (-eps - math.log1p(-eps))
-    raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+    return (n / 2.0) * (eps - math.log1p(eps))
 
 
 def prob_lower_bounds(n: int, p: int, eps: float) -> ProbBoundTriple:
@@ -99,7 +95,7 @@ def prob_lower_bounds(n: int, p: int, eps: float) -> ProbBoundTriple:
         raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    tail = 2.0 * math.exp(-sanov_exponent(n, eps, "upper"))
+    tail = 2.0 * math.exp(-sanov_exponent(n, eps))
     vacuous = tail >= 1.0
     log_exact = -math.inf if vacuous else p * math.log1p(-tail)
     simplified = 1.0 - 2.0 * p * math.exp(-n * eps ** 2 / 7.0)
@@ -127,7 +123,7 @@ def gamma_tail_check(n: int, eps: float, num_mc: int, seed: int,
         raise ValueError(f"num_mc must be >= 1000, got {num_mc}")
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s}")
-    bound = math.exp(-sanov_exponent(n, eps, "upper"))
+    bound = math.exp(-sanov_exponent(n, eps))
     rng = substream(seed)
     threshold = s * (1.0 + eps)
     hits = 0

@@ -19,10 +19,10 @@ from .model import (DivergenceOrder, GaussianLinearModel, hessian_bound_gap,
 from .seeding import substream
 
 
-def random_spd(rng, p, jitter=0.5):
-    """A A^T + jitter I for a standard-normal p x p matrix A."""
+def random_spd(rng, p):
+    """A A^T + 0.5 I for a standard-normal p x p matrix A."""
     A = rng.standard_normal((p, p))
-    return A @ A.T + jitter * np.eye(p)
+    return A @ A.T + 0.5 * np.eye(p)
 
 
 def random_model(rng, p_max=5):
@@ -61,21 +61,6 @@ def check_matops_sqrt_roundtrip():
         err = np.linalg.norm(R @ R - S) / np.linalg.norm(S)
         assert err <= 1e-10, f"reconstruction error {err:.3e}"
         assert matops.min_eigenvalue(R) > 0.0
-
-
-def check_matops_sherman_morrison():
-    rng = substream(102)
-    for _ in range(100):
-        p = int(rng.integers(2, 9))
-        A = random_spd(rng, p, jitter=1.0)
-        c = rng.standard_normal(p)
-        d = rng.standard_normal(p)
-        if abs(1.0 + d @ np.linalg.solve(A, c)) < 1e-6:
-            continue
-        got = matops.sherman_morrison(np.linalg.inv(A), c, d)
-        want = np.linalg.inv(A + np.outer(c, d))
-        err = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert err <= 1e-9, f"update error {err:.3e}"
 
 
 def check_matops_rayleigh():
@@ -140,9 +125,8 @@ def check_model_tilted_consistency():
         order = DivergenceOrder(float(rng.uniform(0.05, 0.95)))
         tq = tilted(m, theta, order)
         tb = theta - m.theta_star
-        sm = matops.sherman_morrison(m.cov, tb / math.sqrt(tq.scale),
-                                     tb / math.sqrt(tq.scale))
-        err = np.linalg.norm(tq.covariance - sm) / np.linalg.norm(sm)
+        want = np.linalg.inv(np.linalg.inv(m.cov) + np.outer(tb, tb) / tq.scale)
+        err = np.linalg.norm(tq.covariance - want) / np.linalg.norm(want)
         assert err <= 1e-9, f"tilted covariance mismatch {err:.3e}"
 
 
@@ -171,7 +155,7 @@ def check_model_draw_law():
     entry (i, j) of X^T X / n has variance (cov_ij^2 + cov_ii cov_jj) / n,
     and the mean of (X delta)^2 has variance 2 t^2 / n.
     """
-    rng = substream(112)
+    rng = substream(120)
     n = 4000
     for i in range(12):
         m = random_model(rng, p_max=120)
@@ -225,9 +209,29 @@ def check_divergences_alpha_properties():
 
 
 def check_penalty_kraft():
-    for p in np.unique(np.logspace(0, 4, 40).astype(int)):
-        assert penalty.kraft_sum(int(p), 0.5) <= 1.0
-    assert abs(penalty.kraft_sum(1, 0.5) - 5.0 / 6.0) < 1e-15
+    """Criterion 7: ``kraft_sum`` <= 1 for every p in 1..10000, 5/6 at p = 1,
+    and at p = 2 its closed form against the grid it sums.
+
+    The enumeration adds exp(-beta * grid_codelength(z, 2, beta)) over
+    ||z||_1 <= 6. Every term is positive, so the closed form minus that sum
+    is exactly the missing ||z||_1 >= 7 mass. With 4k labels at ||z||_1 = k,
+    each weighing x^k / 2 for x = 1/8, that tail is
+    R_7 = sum_{k>=7} 2k x^k = 2 x^7 (7 - 6x) / (1 - x)^2 = 7.785e-6, summed
+    from the geometric series rather than from ``kraft_sum``'s product form.
+    """
+    for p in range(1, 10_001):
+        assert penalty.kraft_sum(p) <= 1.0, f"p={p}: {penalty.kraft_sum(p)}"
+    assert abs(penalty.kraft_sum(1) - 5.0 / 6.0) < 1e-15
+    x = 1.0 / 8.0
+    tail = 2.0 * x ** 7 * (7.0 - 6.0 * x) / (1.0 - x) ** 2
+    labels = [np.array([z1, z2]) for z1 in range(-6, 7) for z2 in range(-6, 7)
+              if abs(z1) + abs(z2) <= 6]
+    for beta in (0.25, 0.5, 1.0):
+        truncated = sum(math.exp(-beta * penalty.grid_codelength(z, 2, beta))
+                        for z in labels)
+        gap = penalty.kraft_sum(2) - truncated
+        assert abs(gap - tail) <= 1e-14, \
+            f"beta={beta}: closed - truncated {gap:.12e}, R_7 {tail:.12e}"
 
 
 def check_penalty_rounding_moments():
@@ -235,7 +239,7 @@ def check_penalty_rounding_moments():
     w = np.array([1.0, 2.0, 0.5])
     theta = np.array([0.3, -1.7, 2.2])
     # components are independent: one call rounds `draws` copies at once
-    spec = penalty.QuantizerSpec(delta=0.8, w_star=np.tile(w, draws), beta=0.5)
+    spec = penalty.QuantizerSpec(delta=0.8, w_star=np.tile(w, draws))
     t = penalty.randomize_quantize(np.tile(theta, draws), spec,
                                    seed=13_000).reshape(draws, 3)
     se = spec.delta / w / math.sqrt(draws)  # step bounds the per-draw spread
@@ -432,7 +436,6 @@ def check_sim_dominance_floor():
 
 CHECKS = [
     ("matops.sqrt_roundtrip", check_matops_sqrt_roundtrip),
-    ("matops.sherman_morrison", check_matops_sherman_morrison),
     ("matops.rayleigh_bound", check_matops_rayleigh),
     ("model.order_monotonicity", check_model_monotone_in_order),
     ("model.gradient_fd", check_model_gradient_fd),

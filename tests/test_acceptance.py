@@ -1,15 +1,13 @@
 """Acceptance suite: the criteria with no other home, each printing a line.
 
-Criteria 1, 2, 5, 6 and 8 are asserted where their invariant lives: in a
-unit test or a ``verify.CHECKS`` entry of at least the same size and at most
-the same tolerance (the README maps each criterion to its home). The rest
-remain here. Criterion 3 is the paper's reference protocol, 300 trials at
-n=200, p=1000 over three SNRs, which nothing else runs. Criterion 4 is the
-energy-capped Monte-Carlo comparison, 100 instances at three orders each.
-Criterion 7 checks the Kraft sum on every p in 1..10000, and its truncated
-enumeration checks ``kraft_sum`` against a sum over the grid and a geometric
-tail that no other test computes. Criterion 9 is the violation frequency
-over every one of 1000 trials at its own seed. Seeds are fixed, so the
+Criteria 1, 2, 5, 6, 7 and 8 are asserted where their invariant lives: in
+a unit test or a ``verify.CHECKS`` entry of at least the same size and at
+most the same tolerance (the README maps each criterion to its home). The
+rest remain here. Criterion 3 is the paper's reference protocol, 300 trials
+at n=200, p=1000 over three SNRs, which nothing else runs. Criterion 4 is
+the energy-capped Monte-Carlo comparison, 100 instances at three orders
+each. Criterion 9 is the violation frequency over every one of 1000 trials
+at its own seed. Seeds are fixed, so the
 suite is deterministic.
 """
 
@@ -17,7 +15,6 @@ import math
 
 from mdlasso.divergences import renyi_mc
 from mdlasso.model import DivergenceOrder, renyi_div
-from mdlasso.penalty import kraft_sum
 from mdlasso.seeding import substream
 from mdlasso.sim import ExperimentConfig, run_experiment
 from mdlasso.typical_set import prob_lower_bounds
@@ -72,44 +69,6 @@ def test_criterion_4_closed_form_vs_monte_carlo():
         passed += agree
     ok = passed >= 99
     report("4", ok, f"{passed}/100 instances matched within 3 SE (need >= 99)")
-    assert ok
-
-
-def test_criterion_7_kraft_certificates():
-    """Kraft sums on the full p grid and the exact p=1 value."""
-    grid_ok = all(kraft_sum(p, 0.5) <= 1.0 for p in range(1, 10_001))
-    exact_ok = abs(kraft_sum(1, 0.5) - 5.0 / 6.0) < 1e-15
-    ok = grid_ok and exact_ok
-    report("7", ok, f"sum <= 1 on p in 1..10000: {grid_ok}; "
-                    f"p=1 value 5/6 exact: {exact_ok}")
-    assert ok
-
-
-def test_criterion_7_truncated_enumeration_tolerance():
-    """Truncated enumeration at p=2, ||z||_1 <= 6 vs the closed form.
-
-    Every term is positive, so closed - truncated is exactly the missing
-    ||z||_1 >= 7 mass. With 4k points at ||z||_1 = k and x = 1/8 that tail
-    is R_7 = sum_{k>=7} 2k x^k = 2 x^7 (7 - 6x) / (1 - x)^2 = 7.785e-6,
-    computed here from the geometric series, not from kraft_sum's product
-    form. The check is the identity closed - truncated = R_7 to 1e-14.
-    A bare |closed - truncated| <= 1e-6 could not hold: the tail alone
-    exceeds it, so only a kraft_sum off by >= 6.8e-6 would satisfy it.
-    """
-    total = 0.0
-    for z1 in range(-6, 7):
-        for z2 in range(-6, 7):
-            if abs(z1) + abs(z2) <= 6:
-                total += 8.0 ** -(abs(z1) + abs(z2))
-    truncated = 0.5 * total
-    closed = kraft_sum(2, 0.5)
-    x = 1.0 / 8.0
-    tail = 2.0 * x ** 7 * (7.0 - 6.0 * x) / (1.0 - x) ** 2
-    gap = closed - truncated
-    ok = truncated < closed and abs(gap - tail) <= 1e-14
-    report("7 (truncated enumeration)", ok,
-           f"closed - truncated = {gap:.12e} vs tail R_7 = {tail:.12e}, "
-           f"difference {gap - tail:.1e} (bound 1e-14)")
     assert ok
 
 

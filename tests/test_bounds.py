@@ -11,7 +11,6 @@ import pytest
 from mdlasso import bounds as bounds_module
 from mdlasso import pool
 from mdlasso.bounds import (BoundConfig, alpha_bound_at_probability,
-                            alpha_risk_bound, hellinger_regret_bound,
                             prob_curve, probability_floor, regret_certificate,
                             regret_main_term, risk_bound_rhs)
 from mdlasso.divergences import AlphaOrder
@@ -317,50 +316,8 @@ class TestRiskBoundOnThePool:
 
 
 class TestAlphaRiskBound:
-    def test_alpha_zero_reduction(self):
-        # at alpha = 0, beta = 0.5: bound = 2 r + 4 (P log(1/P) + 1 - P)
-        r = 0.37
-        n, p, eps = 200, 1000, 0.5
-        P = prob_lower_bounds(n, p, eps).exact_product
-        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, eps, 0.03)
-        got = alpha_risk_bound(r, cfg, AlphaOrder(0.0), n, p)
-        want = 2 * r + 4 * (P * math.log(1 / P) + (1 - P))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_reference_correction_value(self):
-        # frozen: 4 (P log(1/P) + 1 - P) = 1.1169502017373216 at the
-        # n=200, p=1000, eps=0.5 substitution
-        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
-        got = alpha_risk_bound(0.0, cfg, AlphaOrder(0.0), 200, 1000)
-        assert got == pytest.approx(1.1169502017373216, rel=1e-10)
-
     def test_probability_one_limit(self):
         a = AlphaOrder(0.2)
         lam_a = (1.0 - 0.2) / 2.0
         got = alpha_bound_at_probability(0.9, 0.55, a, 1.0)
         assert got == pytest.approx(0.9 / lam_a, rel=1e-12)
-
-    def test_rejects_inadmissible_alpha(self):
-        cfg = BoundConfig(DivergenceOrder(0.2), 0.7, 0.5, 0.03)
-        with pytest.raises(InvalidOrderError):
-            alpha_risk_bound(1.0, cfg, AlphaOrder(0.3), 200, 1000)
-
-    def test_rejects_low_probability_substitution(self):
-        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
-        with pytest.raises(InvalidCertificateError, match="1/e"):
-            alpha_risk_bound(1.0, cfg, AlphaOrder(0.0), 20, 1000)
-
-
-class TestHellingerRegretBound:
-    def test_passthrough_at_half(self):
-        model, prob, cfg = small_instance(seed=15)
-        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
-        assert hellinger_regret_bound(cert) == cert.bound
-
-    def test_rejects_other_orders(self):
-        model, prob, _ = small_instance(seed=16, lam=0.4, beta=0.5)
-        cfg = BoundConfig(DivergenceOrder(0.4), 0.5, 0.5, 0.03)
-        cert = regret_certificate(prob, model, cfg, solve(prob).theta_hat)
-        with pytest.raises(InvalidOrderError):
-            hellinger_regret_bound(cert)
-

@@ -1,10 +1,10 @@
-"""Matrix utility tests: reconstruction, rank-one updates, eigenvalue floor."""
+"""Matrix utility tests: reconstruction and eigenvalue floor."""
 
 import numpy as np
 import pytest
 
 from mdlasso.errors import SingularMatrixError
-from mdlasso.matops import min_eigenvalue, sherman_morrison, sqrt_sym
+from mdlasso.matops import min_eigenvalue, sqrt_sym
 from mdlasso.verify import random_spd
 
 
@@ -38,27 +38,6 @@ class TestSqrtSym:
     def test_rejects_negative_definite(self):
         with pytest.raises(SingularMatrixError):
             sqrt_sym(-np.eye(2))
-
-
-class TestShermanMorrison:
-    def test_zero_update(self):
-        got = sherman_morrison(np.eye(2), np.zeros(2), np.zeros(2))
-        np.testing.assert_allclose(got, np.eye(2), atol=1e-15)
-
-    def test_unit_update(self):
-        # oracle: A + c c^T = diag(2, 1), inverted directly
-        c = np.array([1.0, 0.0])
-        got = sherman_morrison(np.eye(2), c, c)
-        np.testing.assert_allclose(got, np.diag([0.5, 1.0]), atol=1e-15)
-
-    def test_singular_update_rejected(self):
-        c = np.array([1.0, 0.0])
-        with pytest.raises(SingularMatrixError):
-            sherman_morrison(np.eye(2), c, -c)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sherman_morrison(np.eye(2), np.zeros(3), np.zeros(2))
 
 
 class TestMinEigenvalue:

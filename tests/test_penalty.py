@@ -11,18 +11,8 @@ from mdlasso.model import DivergenceOrder
 from mdlasso.penalty import (PenaltyCoefficients, QuantizerSpec,
                              column_mean_squares, design_ratio,
                              fixed_design_mu1, grid_codelength, kraft_sum,
-                             min_coefficients, population_weights,
-                             randomize_quantize, weighted_l1)
-
-
-class TestWeights:
-    def test_population(self):
-        np.testing.assert_allclose(population_weights(np.diag([4.0, 9.0])),
-                                   [2.0, 3.0])
-
-    def test_population_rejects_a_diagonal_vector(self):
-        with pytest.raises(ValueError, match="square matrix"):
-            population_weights(np.array([4.0, 9.0]))
+                             min_coefficients, randomize_quantize,
+                             weighted_l1)
 
 
 class TestColumnMeanSquares:
@@ -161,11 +151,11 @@ class TestGridCodelength:
 
 class TestKraftSum:
     def test_p_one_exact(self):
-        assert abs(kraft_sum(1, 0.5) - 5.0 / 6.0) < 1e-15
+        assert abs(kraft_sum(1) - 5.0 / 6.0) < 1e-15
 
     def test_p_1000(self):
         # frozen closed-form evaluation
-        assert kraft_sum(1000, 0.5) == pytest.approx(0.8243606439371545, rel=1e-12)
+        assert kraft_sum(1000) == pytest.approx(0.8243606439371545, rel=1e-12)
         # cross-check by truncated summation over ||z||_1 <= 3: the partial
         # sum sits below the closed form by the analytic k >= 4 tail, which
         # is under 1.5e-3 here
@@ -179,18 +169,14 @@ class TestKraftSum:
                 count += 2 ** j * math.comb(p, j) * math.comb(k - 1, j - 1)
             partial += count * log_term ** k
         truncated = 0.5 * partial
-        closed = kraft_sum(p, 0.5)
+        closed = kraft_sum(p)
         assert 0.0 < closed - truncated < 1.5e-3
-
-    def test_beta_cancels(self):
-        for beta in (0.1, 0.5, 0.9, 1.0):
-            assert kraft_sum(17, beta) == kraft_sum(17, 0.5)
 
 
 class TestRandomizeQuantize:
-    def spec(self, delta=1.0, w=None, beta=0.5):
+    def spec(self, delta=1.0, w=None):
         w = np.ones(3) if w is None else w
-        return QuantizerSpec(delta=delta, w_star=w, beta=beta)
+        return QuantizerSpec(delta=delta, w_star=w)
 
     def test_on_grid_is_deterministic(self):
         spec = self.spec(delta=0.5)
@@ -203,14 +189,14 @@ class TestRandomizeQuantize:
         # m = 0.25 rounds up with probability 1/4; exact Bernoulli oracle
         # one call on `draws` independent copies of the component
         draws = 100_000
-        spec = QuantizerSpec(delta=1.0, w_star=np.ones(draws), beta=0.5)
+        spec = QuantizerSpec(delta=1.0, w_star=np.ones(draws))
         t = randomize_quantize(np.full(draws, 0.25), spec, seed=0)
         freq = float(np.mean(t == 1.0))
         se = math.sqrt(0.25 * 0.75 / draws)
         assert abs(freq - 0.25) <= 4 * se
 
     def test_values_on_adjacent_grid_points(self):
-        spec = QuantizerSpec(delta=0.7, w_star=np.array([1.3]), beta=0.5)
+        spec = QuantizerSpec(delta=0.7, w_star=np.array([1.3]))
         theta = np.array([1.0])
         m = 1.3 * 1.0 / 0.7
         lo, hi = math.floor(m), math.ceil(m)

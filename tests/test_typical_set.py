@@ -54,25 +54,22 @@ class TestIsTypical:
 class TestSanovExponent:
     def test_worked_upper(self):
         # 100 (0.5 - log 1.5) = 9.45348918918356
-        assert sanov_exponent(200, 0.5, "upper") == pytest.approx(
+        assert sanov_exponent(200, 0.5) == pytest.approx(
             9.45348918918356, rel=1e-12)
 
     def test_lower_dominates_upper(self):
+        # the lower tail's exponent (n/2)(-eps - log(1 - eps)) is at least
+        # the upper one, so 2 e^{-D} bounds the two tails together
         for eps in np.arange(0.01, 1.0, 0.01):
-            up = sanov_exponent(100, float(eps), "upper")
-            lo = sanov_exponent(100, float(eps), "lower")
+            up = sanov_exponent(100, float(eps))
+            lo = (100 / 2.0) * (-eps - math.log1p(-eps))
             assert lo >= up
 
     def test_small_eps_quadratic(self):
         n = 1000
         for eps in (1e-3, 1e-4):
             quad = n * eps ** 2 / 4.0
-            assert sanov_exponent(n, eps, "upper") == pytest.approx(quad, rel=2e-3 if eps == 1e-3 else 2e-4)
-            assert sanov_exponent(n, eps, "lower") == pytest.approx(quad, rel=2e-3 if eps == 1e-3 else 2e-4)
-
-    def test_rejects_bad_side(self):
-        with pytest.raises(ValueError, match="side"):
-            sanov_exponent(10, 0.5, "sideways")
+            assert sanov_exponent(n, eps) == pytest.approx(quad, rel=2e-3 if eps == 1e-3 else 2e-4)
 
 
 class TestProbLowerBounds:
