@@ -15,8 +15,15 @@ so descent can be checked. When theta = 0 already meets the KKT conditions
 ISTA returns it without estimating L. Optimality is certified by the
 subgradient (KKT) residual, so "converged" is a checkable statement about
 the returned point rather than about step sizes.
+
+Both iterations write their length-n and length-p vectors into arrays
+allocated once per call, with the same floating-point operations in the
+same order as the plain expressions, so the iterates are those expressions'
+bits. Per ISTA iteration, only the KKT residual's recomputation at the
+nonzero coordinates allocates, arrays the size of that set.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,19 +117,20 @@ def soft_threshold(x, t):
     """sign(x) * max(|x| - t, 0); elementwise on arrays."""
     if np.any(np.asarray(t) < 0.0):
         raise ValueError("threshold must be non-negative")
-    return _shrink(x, t)
-
-
-def _shrink(x, t):
-    """soft_threshold without the check on t; the solver's level is >= 0."""
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _kkt(theta: np.ndarray, g: np.ndarray, level: np.ndarray) -> float:
-    active = theta != 0.0
-    res_active = np.abs(g + level * np.sign(theta))
-    res_zero = np.maximum(np.abs(g) - level, 0.0)
-    return float(np.max(np.where(active, res_active, res_zero)))
+def _kkt(theta: np.ndarray, g: np.ndarray, level: np.ndarray,
+         out: np.ndarray) -> float:
+    """``kkt_residual`` at theta from its gradient g, worked in ``out``
+    (shaped like g, overwritten): |g| - level at every coordinate, the
+    nonzero ones recomputed, and the maximum clamped at 0, which clamps
+    each zero coordinate's term."""
+    np.abs(g, out=out)
+    np.subtract(out, level, out=out)
+    active = np.flatnonzero(theta)
+    out[active] = np.abs(g[active] + level[active] * np.sign(theta[active]))
+    return max(float(out.max()), 0.0)
 
 
 def kkt_residual(prob: LassoProblem, theta: np.ndarray) -> float:
@@ -135,23 +143,26 @@ def kkt_residual(prob: LassoProblem, theta: np.ndarray) -> float:
     if theta.shape[0] != prob.p:
         raise ValueError(f"theta has {theta.shape[0]} entries, expected {prob.p}")
     g = -(prob.X.T @ (prob.Y - prob.X @ theta)) / (prob.n * prob.sigma2)
-    return _kkt(theta, g, prob.coeffs.mu1 * prob.w)
+    return _kkt(theta, g, prob.coeffs.mu1 * prob.w, np.empty_like(g))
 
 
 def _lipschitz(prob: LassoProblem) -> float:
     """Power-iteration estimate of lambda_max(X^T X) / (n sigma2)."""
     rng = np.random.default_rng(0)  # fixed: the estimate is deterministic
     v = rng.standard_normal(prob.p)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
+    Xv = np.empty(prob.n)
+    u = np.empty(prob.p)
     rho_prev = 0.0
     rho = 0.0
     for _ in range(_POWER_ITERATIONS):
-        u = prob.X.T @ (prob.X @ v)
+        np.matmul(prob.X, v, out=Xv)
+        np.matmul(prob.X.T, Xv, out=u)
         rho = float(v @ u)
-        norm_u = float(np.linalg.norm(u))
+        norm_u = math.sqrt(u @ u)
         if norm_u == 0.0:
             break
-        v = u / norm_u
+        np.divide(u, norm_u, out=v)
         if abs(rho - rho_prev) <= _POWER_TOL * max(1.0, abs(rho)):
             break
         rho_prev = rho
@@ -179,24 +190,38 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     kkt_level = mu1 * w
     step = level = None
     theta = np.zeros(prob.p)
+    mag = np.zeros(prob.p)  # |theta|: the shrink's max(|x| - level, 0)
+    resid = np.empty(prob.n)
+    g = np.empty(prob.p)
+    work = np.empty(prob.p)
     trace = []
     iterations = 0
     # Each expression keeps its association order, e.g. (step * mu1) * w:
     # the iterates are pinned bit for bit (TestFastPathOracle).
     while True:
-        resid = Y - X @ theta
-        g = -(X.T @ resid) / scale
-        kkt = _kkt(theta, g, kkt_level)
+        np.matmul(X, theta, out=resid)
+        np.subtract(Y, resid, out=resid)
+        np.matmul(X.T, resid, out=g)
+        np.divide(g, -scale, out=g)  # -(X^T resid) / scale, to the bit
+        kkt = _kkt(theta, g, kkt_level, work)
         if iterations == max_iter:
             break
+        np.multiply(w, mag, out=work)
         trace.append(float(resid @ resid) / (2.0 * scale)
-                     + mu1 * float(np.sum(w * np.abs(theta))))
+                     + mu1 * float(work.sum()))
         if kkt <= tol:
             break
         if step is None:
             step = 1.0 / (_lipschitz(prob) * (1.0 + _STEP_HEADROOM))
             level = step * mu1 * w
-        theta = _shrink(theta - step * g, level)
+        # theta <- sign(x) * max(|x| - level, 0) at x = theta - step * g
+        np.multiply(g, step, out=work)
+        np.subtract(theta, work, out=work)
+        np.abs(work, out=mag)
+        np.subtract(mag, level, out=mag)
+        np.maximum(mag, 0.0, out=mag)
+        np.sign(work, out=work)
+        np.multiply(work, mag, out=theta)
         iterations += 1
     obj = objective(prob, theta)
     trace.append(obj)

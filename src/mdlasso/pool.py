@@ -6,26 +6,43 @@ draws) seed index i from its own substream, so the list does not depend
 on where each call ran.
 
 The calls run in worker processes started with ``fork``: one per CPU this
-process may run on, at most ``count``, each taking one contiguous block of
-indices. Each worker holds its OpenBLAS to one thread, so that the pool
-runs as many threads as workers rather than workers times BLAS threads.
-The calls run in-process instead when that is one worker, when the
-platform cannot fork, when the caller runs other Python threads or is
-itself a daemonic pool worker, and when no OpenBLAS is found whose thread
-count the workers could set.
+process may run on, at most ``count``. Worker k pins itself to the k-th
+CPU of the caller's ``os.sched_getaffinity`` set (cycling when there are
+more workers than CPUs; unpinned if the kernel refuses), then claims the
+next unclaimed index from a counter the workers share, until none is
+left. A worker that runs slower, on a busier CPU or with longer calls,
+claims fewer indices instead of holding up the map with a fixed share.
+Each worker holds its OpenBLAS to one thread, so that the pool runs as
+many threads as workers rather than workers times BLAS threads. The calls
+run in-process instead when that is one worker, when the platform cannot
+fork, when the caller runs other Python threads or is itself a daemonic
+pool worker, and when no OpenBLAS is found whose thread count the workers
+could set.
+
+Pinned, because the scheduler may leave both workers on one CPU: on a
+2-vCPU guest, 4 of 36 unpinned maps of 100 trials at n=200, p=1000,
+SNR 0.5 ran both workers' trials mostly on one CPU and took 0.49-0.59 s
+against 0.23-0.32 s for the rest; pinned, none did. Self-scheduled,
+because equal blocks are not equal work: at SNR 10 the two workers' CPU
+times differed by 0-0.74 s over seven maps of one contiguous block each
+(2.94 s in an eighth), and by at most 0.06 s over eight self-scheduled
+maps. A claim costs one lock round trip on the shared counter, and each
+worker hands back one list of ``(index, value)`` pairs, which the caller
+puts in index order. On ``sim-null``, where a trial takes ~5 ms, the
+benchmark's ``cpu_s`` (the parent plus its reaped workers, median of ten
+40 s runs) was 0.844 s with blocks and 0.854 s self-scheduled.
 
 Fork, not spawn: the workers inherit the imported modules, and any patched
 module state, instead of importing numpy and this package afresh, which
 takes about a third of the time of 100 trials at SNR 0.5. ``fn`` itself
 reaches the workers the same way, as a module global set for the pool's
 lifetime, so it need not pickle: closures work, and a function it looks up
-by name (a replaced ``sim.run_trial``, say) is the one called. Only the
-index blocks and the results are pickled. One block per worker, because
-every further hand-off costs CPU: at n=200, p=1000, SNR 0.5 on a 2-vCPU
-guest, one trial per task took 42% more CPU than the serial loop and one
-block per worker 7% more.
+by name (a replaced ``sim.run_trial``, say) is the one called. Only each
+worker's CPU and the count go to the workers, and only the pairs come
+back, pickled.
 
-An exception in a worker is re-raised in the caller with its type. The
+An exception in a worker is re-raised in the caller with its type, and
+the other workers claim no further index once it is raised. The
 pool is joined before ``map_indices`` returns, so the workers' CPU time is
 counted to this process's reaped children. Side effects of ``fn`` in a
 worker (a counter it bumps, state its closure holds) die with the worker.
@@ -40,8 +57,10 @@ from .seeding import usable_cpus
 
 T = TypeVar("T")
 
-# the function of the running pool, inherited by its forked workers
+# the running pool's function and its shared next unclaimed index,
+# inherited by the forked workers
 _fn: Optional[Callable[[int], object]] = None
+_next = None
 
 
 def _worker_count(count: int) -> int:
@@ -91,30 +110,51 @@ def _blas_thread_setter():
     return None
 
 
-def _run_block(block: range) -> list:
-    return [_fn(i) for i in block]
+def _drain(cpu: int, count: int) -> list:
+    """Pin this worker to ``cpu``, then call ``_fn`` on the next unclaimed
+    index below ``count`` until none is left; ``(index, value)`` pairs."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # the CPU left this process's set since it was read
+        pass
+    pairs = []
+    while True:
+        with _next.get_lock():
+            i = _next.value
+            _next.value = i + 1
+        if i >= count:
+            return pairs
+        try:
+            pairs.append((i, _fn(i)))
+        except BaseException:
+            with _next.get_lock():  # the map fails: no worker claims more
+                _next.value = count
+            raise
 
 
 def map_indices(fn: Callable[[int], T], count: int) -> list[T]:
     """``[fn(0), ..., fn(count - 1)]``, on the pool the module docstring
     describes."""
-    global _fn
+    global _fn, _next
     workers = _worker_count(count)
     set_blas_threads = _blas_thread_setter() if workers > 1 else None
     if set_blas_threads is None:
         return [fn(i) for i in range(count)]
     import multiprocessing  # ~8 ms, paid only by runs that start a pool
-    size = -(-count // workers)
-    blocks = [range(start, min(start + size, count))
-              for start in range(0, count, size)]
     ctx = multiprocessing.get_context("fork")
-    _fn = fn
+    cpus = sorted(os.sched_getaffinity(0))
+    tasks = [(cpus[k % len(cpus)], count) for k in range(workers)]
+    _fn, _next = fn, ctx.Value("q", 0)
     try:
-        with ctx.Pool(len(blocks), initializer=set_blas_threads,
+        with ctx.Pool(workers, initializer=set_blas_threads,
                       initargs=(1,)) as pool:
-            results = pool.map(_run_block, blocks)
+            parts = pool.starmap(_drain, tasks, chunksize=1)
             pool.close()
             pool.join()
     finally:
-        _fn = None
-    return [value for block in results for value in block]
+        _fn = _next = None
+    results = [None] * count
+    for part in parts:
+        for i, value in part:
+            results[i] = value
+    return results

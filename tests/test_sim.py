@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -247,6 +248,23 @@ class TestTrialPool:
             "error: trial 9 failed in a worker"]
         assert not (tmp_path / "t.csv").exists()
 
+    def test_worker_error_stops_further_claims(self, monkeypatch, tmp_path):
+        cpus(monkeypatch, 2)
+        log = tmp_path / "indices"
+        log.write_text("")
+
+        def failing(i):
+            with open(log, "a") as fh:
+                fh.write(f"{i}\n")
+            if i == 0:
+                raise NumericalFailureError("index 0 failed")
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(NumericalFailureError, match="index 0 failed"):
+            pool.map_indices(failing, 100)
+        assert len(log.read_text().split()) < 50
+
     def test_serial_inside_a_pool_worker(self, monkeypatch):
         cpus(monkeypatch, 2)
         cfg = parse_config(MIXED_DOC)
@@ -309,6 +327,61 @@ class TestTrialPool:
         if "openblas" not in blas:
             pytest.skip(f"numpy uses {blas}, not OpenBLAS")
         assert pool._blas_thread_setter() is not None
+
+    def test_each_worker_pinned_to_its_own_cpu(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        usable = os.sched_getaffinity(0)
+
+        def placement(i):
+            time.sleep(0.02)  # long enough for both workers to claim some
+            return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+        masks = dict(pool.map_indices(placement, 8))
+        assert os.getpid() not in masks
+        assert all(len(mask) == 1 and mask <= usable
+                   for mask in masks.values())
+        if len(usable) >= 2:
+            assert len(masks) == 2
+            assert len(set(masks.values())) == 2
+
+    def test_unpinned_worker_when_pinning_fails(self, monkeypatch, tmp_path):
+        cfg = parse_config(MIXED_DOC)
+        cpus(monkeypatch, 1)
+        serial, _ = run_experiment(cfg)
+
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)  # inherited
+        cpus(monkeypatch, 2)
+        pids = trial_pids(monkeypatch, tmp_path)
+        pooled, _ = run_experiment(cfg)
+        assert os.getpid() not in pids()
+        assert pooled == serial
+
+    def test_uneven_count_in_order_each_index_once(self, monkeypatch,
+                                                   tmp_path):
+        # more workers than CPUs, racing on the shared counter; a claim
+        # that two workers made, or that none did, shows in the log
+        cpus(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 1)
+        log = tmp_path / "indices"
+        log.write_text("")
+
+        def logged(i):
+            with open(log, "a") as fh:
+                fh.write(f"{i}\n")
+            return i * i
+
+        count = 203
+        assert count % pool._worker_count(count) != 0
+        assert pool.map_indices(logged, count) == [i * i for i in range(count)]
+        assert sorted(map(int, log.read_text().split())) == list(range(count))
+        doc = MIXED_DOC.replace("num_trials = 12", "num_trials = 13")
+        pooled, _ = run_experiment(parse_config(doc))
+        cpus(monkeypatch, 1)
+        serial, _ = run_experiment(parse_config(doc))
+        assert [r.trial_index for r in pooled] == list(range(13))
+        assert pooled == serial
 
     def test_no_worker_outlives_the_run(self, monkeypatch):
         cpus(monkeypatch, 2)
