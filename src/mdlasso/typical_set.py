@@ -1,4 +1,4 @@
-"""Typical designs: membership test, probability lower bounds, Gamma tails.
+"""Typical designs: membership test and probability lower bounds.
 
 A design X is eps-typical for covariance cov when every column's mean
 square stays within relative eps of its expectation:
@@ -10,22 +10,22 @@ chain of three closed forms (with D = (n/2)(eps - log(1 + eps))):
 
     (1 - 2 e^{-D})^p  >=  1 - 2p e^{-D}  >=  1 - 2p e^{-n eps^2 / 7}.
 
+The product form needs independent columns (``cov=None`` or a diagonal
+covariance, as on every CLI path); for a general covariance only the two
+union-bound forms are proven.
+
 The exponent D is a Sanov/Chernoff-type bound on the one-sided tail of a
-column mean square, which follows a Gamma(n/2, 2s/n) law; the lower tail
-has the larger exponent (n/2)(-eps - log(1 - eps)). The constant 7 is the
+column mean square, which follows a Gamma(n/2, 2 cov_jj / n) law; the lower
+tail has the larger exponent (n/2)(-eps - log(1 - eps)). The constant 7 is the
 smallest integer a with 1/a <= (1 - log 2)/2, making eps^2/7 a valid
 simplification of D/n on all of (0, 1].
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
-
-from .seeding import substream
-
-_GAMMA_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,9 @@ class ProbBoundTriple:
     per-column factor 1 - 2 e^{-D} is not positive, since a probability
     lower bound below zero carries no information; ``log_exact_product`` =
     p log(1 - 2 e^{-D}) is then -inf. ``linearized`` and ``simplified`` may
-    be negative.
+    be negative. ``exact_product`` bounds P only for independent columns
+    (``cov=None`` or diagonal); ``linearized`` and ``simplified`` hold for
+    any covariance.
     """
 
     exact_product: float
@@ -101,37 +103,3 @@ def prob_lower_bounds(n: int, p: int, eps: float) -> ProbBoundTriple:
     simplified = 1.0 - 2.0 * p * math.exp(-n * eps ** 2 / 7.0)
     return ProbBoundTriple(math.exp(log_exact), log_exact, 1.0 - p * tail,
                            simplified, vacuous)
-
-
-class GammaTailResult(NamedTuple):
-    empirical_tail: float
-    analytic_bound: float
-
-
-def gamma_tail_check(n: int, eps: float, num_mc: int, seed: int,
-                     s: float = 1.0) -> GammaTailResult:
-    """Empirical upper-tail frequency of a column mean square vs its bound.
-
-    Samples the mean square of n i.i.d. N(0, s) entries (exactly the
-    Gamma(n/2, 2s/n) law of a design column's mean square, by construction)
-    and counts how often it reaches s (1 + eps). The analytic bound is
-    exp(-D) with the upper-side exponent; the empirical frequency must not
-    exceed it by more than Monte-Carlo noise. The result does not depend on
-    ``s`` beyond that noise (scale equivariance of the Gamma family).
-    """
-    if num_mc < 1000:
-        raise ValueError(f"num_mc must be >= 1000, got {num_mc}")
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s}")
-    bound = math.exp(-sanov_exponent(n, eps))
-    rng = substream(seed)
-    threshold = s * (1.0 + eps)
-    hits = 0
-    done = 0
-    while done < num_mc:
-        m = min(_GAMMA_CHUNK, num_mc - done)
-        z = rng.standard_normal((m, n))
-        mean_sq = s * np.mean(z ** 2, axis=1)
-        hits += int(np.count_nonzero(mean_sq >= threshold))
-        done += m
-    return GammaTailResult(hits / num_mc, bound)

@@ -7,6 +7,8 @@ normally; any exception marks it failed. One line is printed per check.
 
 ``random_spd``, ``random_model`` and ``fd_renyi`` are the shared generators
 and finite-difference oracle; the tests import them from here.
+``log_gamma_tails`` is the typical-set checks' exact reference. The lemma
+helpers that only these checks call are imported from their modules.
 """
 
 import math
@@ -51,6 +53,35 @@ def fd_renyi(model, theta, order):
         fd_h[:, j] = (renyi_grad(model, up, order)
                       - renyi_grad(model, dn, order)) / (2 * h)
     return fd_g, (fd_h + fd_h.T) / 2
+
+
+def _log_sum_exp(logs):
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def log_gamma_tails(n, eps):
+    """Exact log P(m >= 1 + eps) and log P(m <= 1 - eps) for the mean square
+    m of n i.i.d. N(0, 1) entries, n even, eps in (0, 1).
+
+    With k = n/2, n m is chi-square with n degrees of freedom, so the upper
+    tail is P(Poisson(k (1 + eps)) <= k - 1) and the lower tail
+    P(Poisson(k (1 - eps)) >= k), each summed from its own terms, never as
+    1 minus the other. The lower tail's terms fall from j = k on by a ratio
+    below 1 - eps; the sum stops at a term e^{-50} of the first.
+    """
+    if n < 2 or n % 2 or not 0.0 < eps < 1.0:
+        raise ValueError(f"need even n >= 2 and eps in (0, 1), got {n}, {eps}")
+    k = n // 2
+
+    def log_pmf(j, mu):
+        return j * math.log(mu) - mu - math.lgamma(j + 1)
+
+    lo = [log_pmf(k, k * (1.0 - eps))]
+    while lo[-1] > lo[0] - 50.0:
+        lo.append(log_pmf(k + len(lo), k * (1.0 - eps)))
+    up = [log_pmf(j, k * (1.0 + eps)) for j in range(k)]
+    return _log_sum_exp(up), _log_sum_exp(lo)
 
 
 def check_matops_sqrt_roundtrip():
@@ -279,6 +310,7 @@ def check_typical_set_chain():
 
 
 def check_typical_set_membership_freq():
+    """Frequency within 3 SE of the exact P = (1 - q_up - q_lo)^p."""
     n, p, eps = 50, 5, 0.3
     draws = 10_000
     rng = substream(112)
@@ -290,16 +322,22 @@ def check_typical_set_membership_freq():
     bound = typical_set.prob_lower_bounds(n, p, eps).exact_product
     se = math.sqrt(max(freq * (1 - freq), 1e-12) / draws)
     assert freq >= bound - 3 * se, f"{freq} < {bound}"
+    log_up, log_lo = log_gamma_tails(n, eps)
+    exact = (1.0 - math.exp(log_up) - math.exp(log_lo)) ** p
+    assert abs(freq - exact) <= 3 * se, f"{freq} vs exact {exact}"
 
 
 def check_typical_set_gamma_tail():
-    draws = 100_000
-    results = {s: typical_set.gamma_tail_check(50, 0.3, draws, seed=113, s=s)
-               for s in (0.5, 1.0, 4.0)}
-    assert len({r.analytic_bound for r in results.values()}) == 1
-    for s, (emp, bnd) in results.items():
-        se = math.sqrt(max(emp * (1 - emp), 1e-12) / draws)
-        assert emp <= bnd + 3 * se, f"s={s}: {emp} > {bnd}"
+    """q_up <= e^{-D}, q_lo <= e^{-D_lo} and D_lo >= D: 2 e^{-D} bounds
+    both exact tails, with no sampling."""
+    for n in (2, 10, 50, 200, 1000):
+        for eps in (j / 100.0 for j in range(1, 100)):
+            d_up = typical_set.sanov_exponent(n, eps)
+            d_lo = (n / 2.0) * (-eps - math.log1p(-eps))
+            log_up, log_lo = log_gamma_tails(n, eps)
+            assert log_up <= -d_up, f"n={n}, eps={eps}: {log_up} > {-d_up}"
+            assert log_lo <= -d_lo, f"n={n}, eps={eps}: {log_lo} > {-d_lo}"
+            assert d_lo >= d_up, f"n={n}, eps={eps}: {d_lo} < {d_up}"
 
 
 def check_typical_set_column_decomposition():

@@ -1,9 +1,10 @@
-"""``mdlasso.__all__`` names exactly the package's public namespace, and
-every name in it has a caller.
+"""``mdlasso.__all__`` names exactly the package's public namespace, every
+name in it has a caller, and the README's library example runs on it.
 
 A function deleted from a module but still exported fails here, not only
 at ``from mdlasso import *``. So does an exported name that only its own
-unit tests call.
+unit tests or the invariant checks of ``verify`` call: a lemma helper
+stays in its module and out of ``__all__``.
 """
 
 import ast
@@ -56,9 +57,10 @@ def _loads(tree, modules):
 
 def test_every_export_has_a_caller():
     """Each name in ``__all__`` is loaded in a package module other than
-    ``__init__.py``, or in the benchmark's ``perfbench/*.py``."""
+    ``__init__.py`` and ``verify.py``, or in the benchmark's
+    ``perfbench/*.py``."""
     sources = [path for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"]
+               if path.name not in ("__init__.py", "verify.py")]
     sources += sorted((ROOT / "perfbench").glob("*.py"))
     modules = {path.stem for path in PACKAGE.glob("*.py")} | {"mdlasso"}
     loaded = set()
@@ -66,3 +68,14 @@ def test_every_export_has_a_caller():
         loaded |= _loads(ast.parse(path.read_text(), str(path)), modules)
     uncalled = sorted(set(mdlasso.__all__) - loaded)
     assert uncalled == [], f"exported with no caller: {uncalled}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's ``## Library example`` block runs as written, so it
+    imports only names the package still exports."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "divergence:" in out and "regret bound:" in out

@@ -16,7 +16,7 @@ from mdlasso.cli import CONFIG_KEYS, emit_csv, main, parse_config
 from mdlasso.divergences import bhattacharyya, renyi_mc
 from mdlasso.errors import NumericalFailureError
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
-                           hessian_bound_gap, renyi_hess, tilted)
+                           hessian_bound_gap, renyi_div, renyi_hess, tilted)
 from mdlasso.penalty import column_mean_squares, min_coefficients
 from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
                          run_trial)
@@ -123,6 +123,32 @@ class TestRunTrial:
         assert rec.two_hellinger_sq <= rec.d_bhatta + 1e-12
         assert rec.dominated == (rec.regret_bound >= rec.d_bhatta)
         assert (rec.snr, rec.sigma2) == (cfg.snr, cfg.sigma2)
+
+    def test_dominated_at_the_configured_order(self, monkeypatch):
+        # the theorem bounds the divergence at order lam, which exceeds the
+        # order-0.5 one at lam = 0.7: a bound placed between the two is not
+        # dominating
+        cfg = ExperimentConfig(seed=11, snr=10.0, num_trials=1, lam=0.7,
+                               beta=0.3, **SMALL)
+        model = cfg.build_model()
+        order = DivergenceOrder(0.7)
+        for i in range(4):
+            rec = run_trial(cfg, i, model=model)
+            d_lam = renyi_div(model, rec.report.theta_hat, order)
+            assert d_lam > rec.d_bhatta
+            assert rec.dominated == (rec.regret_bound >= d_lam)
+
+        certify = sim.regret_certificate
+
+        def between(prob, model, bc, theta_hat):
+            cert = certify(prob, model, bc, theta_hat=theta_hat)
+            d05 = bhattacharyya(model, theta_hat)
+            d07 = renyi_div(model, theta_hat, order)
+            return dataclasses.replace(cert, bound=(d05 + d07) / 2.0)
+
+        monkeypatch.setattr(sim, "regret_certificate", between)
+        rec = run_trial(cfg, 0, model=model)
+        assert rec.d_bhatta < rec.regret_bound and not rec.dominated
 
     def test_record_carries_report_and_certificate(self):
         cfg = ExperimentConfig(seed=11, snr=10.0, num_trials=1, **SMALL)

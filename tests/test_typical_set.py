@@ -1,4 +1,4 @@
-"""Typical-set membership, probability bound chain, and Gamma tail tests."""
+"""Typical-set membership, Sanov exponent and probability bound chain tests."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from mdlasso.penalty import column_mean_squares as msq
-from mdlasso.typical_set import (gamma_tail_check, is_typical,
-                                 prob_lower_bounds, sanov_exponent)
+from mdlasso.typical_set import is_typical, prob_lower_bounds, sanov_exponent
 
 
 class TestIsTypical:
@@ -57,6 +56,11 @@ class TestSanovExponent:
         assert sanov_exponent(200, 0.5) == pytest.approx(
             9.45348918918356, rel=1e-12)
 
+    def test_reference_tail_bound(self):
+        # e^{-D} at n=200, eps=0.5, the one-sided tail bound
+        assert math.exp(-sanov_exponent(200, 0.5)) == pytest.approx(
+            7.841548093590787e-05, rel=1e-12)
+
     def test_lower_dominates_upper(self):
         # the lower tail's exponent (n/2)(-eps - log(1 - eps)) is at least
         # the upper one, so 2 e^{-D} bounds the two tails together
@@ -89,19 +93,3 @@ class TestProbLowerBounds:
         assert t.vacuous
         assert t.linearized < 0.0
 
-
-class TestGammaTail:
-    def test_reference_bound(self):
-        emp, bnd = gamma_tail_check(200, 0.5, 100_000, seed=42)
-        assert bnd == pytest.approx(7.841548093590787e-05, rel=1e-12)
-        se = math.sqrt(max(emp * (1 - emp), 1e-12) / 100_000)
-        assert emp <= bnd + 3 * se
-
-    def test_eps_zero_trivial(self):
-        emp, bnd = gamma_tail_check(50, 0.0, 1000, seed=43)
-        assert bnd == 1.0
-        assert emp <= 1.0
-
-    def test_rejects_small_mc(self):
-        with pytest.raises(ValueError):
-            gamma_tail_check(50, 0.3, 999, seed=0)
