@@ -1,8 +1,8 @@
 """Risk/regret bound calculus for column-normalized lasso under Gaussian random design."""
 
 from .bounds import (BoundConfig, ProbCurvePoint, RegretCertificate,
-                     RiskBoundEstimate, prob_curve, probability_floor,
-                     regret_certificate, regret_main_term, risk_bound_rhs)
+                     RiskBoundEstimate, probability_floor, regret_certificate,
+                     regret_main_term, risk_bound_rhs)
 from .divergences import (AlphaOrder, McEstimate, bhattacharyya, hellinger_sq,
                           renyi_mc)
 from .lasso import LassoProblem, SolveReport, objective, solve
@@ -24,7 +24,7 @@ __all__ = [
     "RegretCertificate", "RiskBoundEstimate", "SolveReport", "TrialRecord",
     "bhattacharyya", "default_theta_star", "displacement_energy",
     "hellinger_sq", "is_typical", "min_coefficients", "min_eigenvalue",
-    "objective", "prob_curve", "prob_lower_bounds", "probability_floor",
+    "objective", "prob_lower_bounds", "probability_floor",
     "regret_certificate", "regret_main_term", "renyi_div", "renyi_mc",
     "risk_bound_rhs", "run_experiment", "run_trial", "sanov_exponent",
     "solve", "sqrt_sym", "weighted_l1",

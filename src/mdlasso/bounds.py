@@ -103,13 +103,6 @@ def probability_floor(n: int, p: int, eps: float, tau: float,
                           raw < 0.0 or chain.vacuous)
 
 
-def prob_curve(n: int, p: int, tau: float, beta: float,
-               eps_grid: np.ndarray) -> list[ProbCurvePoint]:
-    """``probability_floor`` over an eps grid."""
-    return [probability_floor(n, p, float(eps), tau, beta)
-            for eps in np.asarray(eps_grid, dtype=np.float64)]
-
-
 @dataclass(frozen=True, eq=False)
 class RegretCertificate:
     """Assembled regret bound at one lasso solution.

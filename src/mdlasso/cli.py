@@ -18,24 +18,21 @@ type mismatches, and a value out of its own range are rejected with the
 offending line number; a rule that ties a value to another key (sparsity
 at most p, lambda <= 1 - beta, exactly one of snr and sigma2) is checked on
 the whole config and rejected without one. Command-line ``--set key=value``
-overrides take precedence over file values; the MDLASSO_SEED environment
-variable supplies a default seed but the --seed flag and the file win.
+overrides take precedence over file values, the seed's as any other's.
 
-Exit codes: 0 success, 1 invariant/acceptance failure, 2 usage/config error.
+Exit codes: 0 success, 1 invariant/acceptance failure, 2 usage/config error,
+which includes an unreadable config file and a size too large to allocate.
 """
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import ProbCurvePoint, prob_curve, probability_floor
+from .bounds import ProbCurvePoint, probability_floor
 from .errors import ConfigError, MdlassoError
 from .sim import ExperimentConfig, TrialRecord, run_experiment, run_trial
-
-_ENV_SEED = "MDLASSO_SEED"
 
 
 # key -> (parser, validator, description); a parser raises ValueError
@@ -54,7 +51,7 @@ CONFIG_KEYS = {
     "magnitude": (float, lambda v: v != 0.0, "non-zero real"),
 }
 
-_REQUIRED_KEYS = ("n", "p")
+_REQUIRED_KEYS = ("n", "p", "seed")
 
 TRIAL_CSV_HEADER = "trial,snr,sigma2,d_bhatta,two_hellinger_sq,regret_bound,typical,dominated"
 PROB_CURVE_CSV_HEADER = "epsilon,floor_exact,floor_linear,floor_simplified,floor_minus_tau_term"
@@ -89,9 +86,6 @@ def _build_config(values: dict) -> ExperimentConfig:
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required key '{key}'")
-    if "seed" not in values:
-        raise ConfigError("no seed: provide the 'seed' key, --seed, "
-                          f"or the {_ENV_SEED} environment variable")
     kwargs = {("lam" if key == "lambda" else key): value
               for key, value in values.items()}
     try:
@@ -116,7 +110,7 @@ def _load_config(args) -> ExperimentConfig:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     values = _parse_lines(text)
     for item in args.set or []:
@@ -124,15 +118,6 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         values.pop(item.partition("=")[0].strip(), None)  # override replaces
         _parse_kv_line(f"override '{item}'", item, values)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    elif "seed" not in values and os.environ.get(_ENV_SEED):
-        try:
-            values["seed"] = int(os.environ[_ENV_SEED])
-        except ValueError:
-            raise ConfigError(
-                f"{_ENV_SEED} must be an integer, got "
-                f"{os.environ[_ENV_SEED]!r}") from None
     return _build_config(values)
 
 
@@ -140,39 +125,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
+def _write_csv(path: str, header: str, rows: list) -> None:
+    """Write ``header`` and one comma-joined line per row, with LF endings."""
+    if not rows:
+        raise ValueError("no rows to write")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def emit_csv(records: Sequence[TrialRecord], path: str) -> None:
     """Write trial records as CSV: 10 significant digits, LF endings, ordered by trial."""
-    if not records:
-        raise ValueError("no records to write")
-    rows = sorted(records, key=lambda r: r.trial_index)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRIAL_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([
-                str(r.trial_index),
-                _fmt(r.snr),
-                _fmt(r.sigma2),
-                _fmt(r.d_bhatta),
-                _fmt(r.two_hellinger_sq),
-                _fmt(r.regret_bound),
-                "true" if r.typical else "false",
-                "true" if r.dominated else "false",
-            ]) + "\n")
+    _write_csv(path, TRIAL_CSV_HEADER, [
+        [str(r.trial_index), _fmt(r.snr), _fmt(r.sigma2), _fmt(r.d_bhatta),
+         _fmt(r.two_hellinger_sq), _fmt(r.regret_bound),
+         str(r.typical).lower(), str(r.dominated).lower()]
+        for r in sorted(records, key=lambda r: r.trial_index)])
 
 
 def emit_prob_curve_csv(points: Sequence[ProbCurvePoint], path: str) -> None:
-    if not points:
-        raise ValueError("no points to write")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PROB_CURVE_CSV_HEADER + "\n")
-        for pt in points:
-            fh.write(",".join([
-                _fmt(pt.eps),
-                _fmt(pt.chain.exact_product),
-                _fmt(pt.chain.linearized),
-                _fmt(pt.chain.simplified),
-                _fmt(pt.floor),
-            ]) + "\n")
+    _write_csv(path, PROB_CURVE_CSV_HEADER, [
+        [_fmt(pt.eps), _fmt(pt.chain.exact_product), _fmt(pt.chain.linearized),
+         _fmt(pt.chain.simplified), _fmt(pt.floor)]
+        for pt in points])
 
 
 def _cmd_simulate(args) -> int:
@@ -201,7 +176,8 @@ def _cmd_prob_curve(args) -> int:
         raise ConfigError("need eps-min < eps-max")
     grid = np.linspace(args.eps_min, args.eps_max, args.steps)
     try:
-        points = prob_curve(args.n, args.p, args.tau, args.beta, grid)
+        points = [probability_floor(args.n, args.p, float(eps), args.tau,
+                                    args.beta) for eps in grid]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     emit_prob_curve_csv(points, args.out)
@@ -250,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # the config-reading flags of every subcommand that calls _load_config
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", required=True)
-    config.add_argument("--seed", type=int, default=None)
     config.add_argument("--set", action="append", metavar="KEY=VALUE")
 
     sim = sub.add_parser("simulate", parents=[config],
@@ -286,7 +261,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # sizes come from the inputs
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MdlassoError as exc:

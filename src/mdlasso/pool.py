@@ -53,14 +53,17 @@ import sys
 import threading
 from typing import Callable, Optional, TypeVar
 
-from .seeding import usable_cpus
-
 T = TypeVar("T")
 
 # the running pool's function and its shared next unclaimed index,
 # inherited by the forked workers
 _fn: Optional[Callable[[int], object]] = None
 _next = None
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its ``os.sched_getaffinity`` set."""
+    return len(os.sched_getaffinity(0))
 
 
 def _worker_count(count: int) -> int:

@@ -4,8 +4,7 @@ Every randomized routine in the package takes an explicit integer seed and,
 where it owns several independent sources of randomness, derives one
 substream per (seed, stream-id) path. Substreams are independent of
 scheduling: the generator for a given path is the same no matter how many
-other paths were drawn before it, or on how many CPUs (``usable_cpus``)
-they are drawn.
+other paths were drawn before it, or on how many CPUs they are drawn.
 
 A path does not name one stream per tuple of ids. Each id enters the
 entropy as its 32-bit words, and ``SeedSequence`` pads the entropy with
@@ -17,8 +16,6 @@ padded entropy. For ids below 2^32 it differs from ``substream(s, *path)``
 for every path of at most two ids, and of three when s < 2^32; for a wider
 seed, chunk c is ``substream(s, 0, 0, c)``.
 """
-
-import os
 
 import numpy as np
 
@@ -41,11 +38,3 @@ def chunk_stream(seed: int, chunk: int) -> np.random.Generator:
     child ``chunk`` of ``SeedSequence(seed)`` in numpy's spawn tree."""
     return np.random.default_rng(
         np.random.SeedSequence(int(seed) & _MASK64, spawn_key=(int(chunk),)))
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (``os.cpu_count()`` where the affinity
-    mask cannot be read)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

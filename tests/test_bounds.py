@@ -11,7 +11,7 @@ import pytest
 from mdlasso import bounds as bounds_module
 from mdlasso import pool
 from mdlasso.bounds import (BoundConfig, alpha_bound_at_probability,
-                            prob_curve, probability_floor, regret_certificate,
+                            probability_floor, regret_certificate,
                             regret_main_term, risk_bound_rhs)
 from mdlasso.divergences import AlphaOrder
 from mdlasso.errors import (InsufficientAcceptanceError,
@@ -70,33 +70,33 @@ class TestRegretMainTerm:
 class TestProbCurve:
     def test_reference_point(self):
         # frozen: floor at (200, 1000, eps=0.5, tau=0.03, beta=0.5)
-        pts = prob_curve(200, 1000, 0.03, 0.5, np.array([0.5]))
-        assert pts[0].floor == pytest.approx(0.8050509662948975, rel=1e-12)
-        assert pts[0].chain.exact_product == pytest.approx(
+        pt = probability_floor(200, 1000, 0.5, 0.03, 0.5)
+        assert pt.floor == pytest.approx(0.8050509662948975, rel=1e-12)
+        assert pt.chain.exact_product == pytest.approx(
             0.8548380346627614, rel=1e-12)
 
     def test_monotone_increasing_floor(self):
         grid = np.linspace(0.3, 0.95, 40)
-        pts = prob_curve(200, 1000, 0.03, 0.5, grid)
-        floors = [pt.floor for pt in pts]
+        floors = [probability_floor(200, 1000, float(eps), 0.03, 0.5).floor
+                  for eps in grid]
         assert all(b >= a - 1e-12 for a, b in zip(floors, floors[1:]))
 
     def test_simplified_floor_closed_form(self):
         # 1 - 2p e^{-n eps^2 / 7} - e^{-tau n beta}, positive at eps = 0.9
-        pt = prob_curve(200, 1000, 0.03, 0.5, np.array([0.9]))[0]
+        pt = probability_floor(200, 1000, 0.9, 0.03, 0.5)
         want = 1.0 - 2000.0 * math.exp(-200 * 0.81 / 7.0) - math.exp(-3.0)
         assert pt.simplified_floor == pytest.approx(want, rel=1e-12)
         assert 0.0 < pt.simplified_floor < pt.floor
 
     def test_small_eps_clamped_vacuous(self):
-        pts = prob_curve(200, 1000, 0.03, 0.5, np.array([0.01]))
-        assert pts[0].vacuous
-        assert pts[0].floor == 0.0
+        pt = probability_floor(200, 1000, 0.01, 0.03, 0.5)
+        assert pt.vacuous
+        assert pt.floor == 0.0
 
     def test_matches_bound_chain_fields(self):
-        grid = np.array([0.4, 0.6])
-        for pt in prob_curve(100, 50, 0.1, 0.4, grid):
-            assert pt.chain == prob_lower_bounds(100, 50, pt.eps)
+        for eps in (0.4, 0.6):
+            pt = probability_floor(100, 50, eps, 0.1, 0.4)
+            assert pt.chain == prob_lower_bounds(100, 50, eps)
 
 
 class TestRegretCertificate:

@@ -1,15 +1,17 @@
 """CLI tests: config parsing, CSV emission, subcommands, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import math
+import pathlib
+import re
 import warnings
 
-import numpy as np
 import pytest
 
 from mdlasso import cli, verify
-from mdlasso.bounds import prob_curve, probability_floor, regret_certificate
+from mdlasso.bounds import probability_floor, regret_certificate
 from mdlasso.cli import (emit_csv, emit_prob_curve_csv, main, parse_config)
 from mdlasso.errors import ConfigError
 from mdlasso.lasso import LassoProblem, solve
@@ -18,6 +20,7 @@ from mdlasso.seeding import substream
 from mdlasso.sim import TrialRecord
 from mdlasso.typical_set import is_typical
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 MINIMAL = "n = 50\np = 20\nsnr = 1.5\nseed = 42\n"
 # a config whose trial 0 iterates (MINIMAL's returns 0 at once)
 ITERATING = "n = 60\np = 30\nsigma2 = 0.4\nseed = 3\neps = 0.9\ntau = 0.2\n"
@@ -110,7 +113,7 @@ class TestEmitCsv:
 
     def test_prob_curve_schema(self, tmp_path):
         path = tmp_path / "curve.csv"
-        pts = prob_curve(100, 50, 0.1, 0.5, np.array([0.4, 0.6]))
+        pts = [probability_floor(100, 50, eps, 0.1, 0.5) for eps in (0.4, 0.6)]
         emit_prob_curve_csv(pts, str(path))
         header = path.read_text().splitlines()[0]
         assert header == ("epsilon,floor_exact,floor_linear,floor_simplified,"
@@ -170,7 +173,8 @@ class TestSubcommands:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         main(["simulate", "--config", cfg, "--out", str(out1)])
-        main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "43"])
+        main(["simulate", "--config", cfg, "--out", str(out2),
+              "--set", "seed=43"])
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_simulate_set_override(self, tmp_path):
@@ -181,14 +185,14 @@ class TestSubcommands:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_env_seed_fallback(self, tmp_path, capsys):
+        # a seed comes from the file or --set seed=N, and from nowhere else
         text = "n = 50\np = 20\nsnr = 1.5\nnum_trials = 2\neps = 0.9\ntau = 0.2\nsparsity = 5\n"
         cfg = self.write_config(tmp_path, text)
         out = tmp_path / "env.csv"
-        monkeypatch.delenv("MDLASSO_SEED", raising=False)
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        monkeypatch.setenv("MDLASSO_SEED", "7")
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert self.assert_config_error(
+            capsys, ["simulate", "--config", cfg, "--out", str(out)], out) \
+            == "config error: missing required key 'seed'"
 
     def test_prob_curve_subcommand(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -224,6 +228,9 @@ class TestSubcommands:
     def test_usage_error_exit_code(self, capsys):
         assert main(["simulate", "--config"]) == 2
         assert main(["no-such-command"]) == 2
+        assert main(["simulate", "--config", "c.cfg", "--out", "o.csv",
+                     "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -231,15 +238,36 @@ class TestSubcommands:
         assert main(["simulate", "--config", str(bad), "--out",
                      str(tmp_path / "x.csv")]) == 2
 
-    def test_missing_config_file(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
-                     "--out", str(tmp_path / "x.csv")]) == 2
+    def test_missing_config_file(self, tmp_path, capsys):
+        # absent, and not UTF-8 (a Latin-1 comment)
+        latin = tmp_path / "latin.cfg"
+        latin.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+        out = tmp_path / "x.csv"
+        for path in (tmp_path / "nope.cfg", latin):
+            err = self.assert_config_error(
+                capsys, ["simulate", "--config", str(path), "--out", str(out)],
+                out)
+            assert err.startswith(f"config error: cannot read config {path}: ")
 
     def assert_config_error(self, capsys, argv, out):
+        """``main(argv)`` exits 2 with one ``config error:`` line, which it
+        returns, and writes no ``out``."""
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
+        return err[0]
+
+    # sizes past the 128 TiB user address space, which no host allocates
+    @pytest.mark.parametrize("n, p", [(20, 10 ** 15), (10 ** 15, 1)])
+    def test_unallocatable_size_is_a_config_error(self, tmp_path, capsys,
+                                                  n, p):
+        cfg = self.write_config(
+            tmp_path, f"n = {n}\np = {p}\nsnr = 1\nseed = 1\nnum_trials = 1\n")
+        out = tmp_path / "x.csv"
+        err = self.assert_config_error(
+            capsys, ["simulate", "--config", cfg, "--out", str(out)], out)
+        assert "Unable to allocate" in err
 
     @pytest.mark.parametrize("noise", [
         "snr = inf", "sigma2 = inf", "snr = 1e-320", "sigma2 = 1e-320",
@@ -272,12 +300,14 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tau", "-1"), ("--tau", "nan"), ("--n", "0"), ("--beta", "1.5"),
-        ("--eps-min", "0"), ("--eps-max", "1")])
+        ("--eps-min", "0"), ("--eps-max", "1"),
+        ("--steps", "1000000000000000")])  # past the address space
     def test_prob_curve_range_errors(self, tmp_path, capsys, flag, value):
         args = {"--n": "50", "--p": "20", "--tau": "0.2", "--beta": "0.5",
-                "--eps-min": "0.1", "--eps-max": "0.9", flag: value}
+                "--eps-min": "0.1", "--eps-max": "0.9", "--steps": "5",
+                flag: value}
         out = tmp_path / "curve.csv"
-        argv = ["prob-curve", "--steps", "5", "--out", str(out)]
+        argv = ["prob-curve", "--out", str(out)]
         for key, val in args.items():
             argv += [key, val]
         self.assert_config_error(capsys, argv, out)
@@ -366,23 +396,16 @@ class TestBoundsOracle:
         assert hashlib.sha256(got.encode()).hexdigest() == (
             "9a376dad81cdfc4165aea4685965f61e2e6b3350a91be00bd445eb20b3cdb968")
 
-    @pytest.mark.parametrize("header, extra, env, seed, snr", [
-        ("seed = 42\n", [], None, 42, 1.5),
-        ("seed = 42\n", [], "7", 42, 1.5),
-        ("", [], "7", 7, 1.5),
-        ("seed = 42\n", ["--seed", "43"], "7", 43, 1.5),
-        ("seed = 42\n", ["--set", "seed=44"], None, 44, 1.5),
-        ("seed = 42\n", ["--set", "seed=44", "--seed", "43"], None, 43, 1.5),
-        ("seed = 42\n", ["--set", "snr=10"], None, 42, 10.0),
+    @pytest.mark.parametrize("extra, seed, snr", [
+        ([], 42, 1.5),
+        (["--set", "seed=44"], 44, 1.5),
+        (["--set", "snr=10"], 42, 10.0),
     ])
-    def test_same_precedence_as_simulate(self, tmp_path, capsys, monkeypatch,
-                                         header, extra, env, seed, snr):
+    def test_same_precedence_as_simulate(self, tmp_path, capsys, extra, seed,
+                                         snr):
         body = "n = 50\np = 20\neps = 0.9\ntau = 0.2\n"
         path = tmp_path / "run.cfg"
-        path.write_text(header + "snr = 1.5\n" + body)
-        monkeypatch.delenv("MDLASSO_SEED", raising=False)
-        if env is not None:
-            monkeypatch.setenv("MDLASSO_SEED", env)
+        path.write_text("seed = 42\nsnr = 1.5\n" + body)
         out = tmp_path / "row0.csv"
         self.run(capsys, ["simulate", "--config", str(path), "--out", str(out),
                           "--set", "num_trials=1"] + extra)
@@ -395,5 +418,22 @@ class TestBoundsOracle:
         # the winning seed and snr, written into the file with no overrides
         explicit = tmp_path / "explicit.cfg"
         explicit.write_text(f"seed = {seed}\nsnr = {snr}\n" + body)
-        monkeypatch.delenv("MDLASSO_SEED", raising=False)
         assert got == self.run(capsys, ["bounds", "--config", str(explicit)])
+
+
+def test_readme_cli_flags_match_parser():
+    """The ``sh`` block under README ``## CLI`` names, for each subcommand,
+    exactly the option strings the parser defines, ``-h/--help`` aside."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    documented = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] == ["mdlasso"]:
+            documented[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    defined = {name: {opt for action in sub._actions
+                      for opt in action.option_strings} - {"-h", "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert documented == defined
