@@ -1,64 +1,49 @@
 """The package's one process pool: ``map_indices``.
 
 ``map_indices(fn, count)`` returns ``[fn(0), ..., fn(count - 1)]``. Its
-callers (``sim.run_experiment``'s trials and ``bounds.risk_bound_rhs``'s
-draws) seed index i from its own substream, so the list does not depend
-on where each call ran.
+callers (``sim.run_experiment``, ``bounds.risk_bound_rhs``) seed index i
+from its own substream, so the list does not depend on where each call ran.
 
-The calls run in worker processes started with ``fork``: one per CPU this
-process may run on, at most ``count``. Worker k pins itself to the k-th
-CPU of the caller's ``os.sched_getaffinity`` set (cycling when there are
-more workers than CPUs; unpinned if the kernel refuses), then claims the
-next unclaimed index from a counter the workers share, until none is
-left. A worker that runs slower, on a busier CPU or with longer calls,
-claims fewer indices instead of holding up the map with a fixed share.
-Each worker holds its OpenBLAS to one thread, so that the pool runs as
-many threads as workers rather than workers times BLAS threads. The calls
-run in-process instead when that is one worker, when the platform cannot
-fork, when the caller runs other Python threads or is itself a daemonic
-pool worker, and when no OpenBLAS is found whose thread count the workers
-could set.
+The calls run in workers started with ``os.fork``, one per CPU in this
+process's ``os.sched_getaffinity`` set and at most ``count``. They inherit
+the imported modules and patched module state, so ``fn`` need not pickle.
+Worker k pins itself to the k-th CPU (cycling; unpinned if the kernel
+refuses) and holds its OpenBLAS to one thread. It then claims indices one at
+a time, each an 8-byte word read from a pipe that the caller fills with
+every index and closes, so a worker on a busier CPU claims fewer (the README
+has the measurements). It sends back one pickled list of ``(index, value)``
+pairs on a pipe of its own. A map of 100 no-op indices took a median 10 ms
+in a fresh process on a 2-vCPU guest, against 42 ms on the
+``multiprocessing.Pool`` this replaced. The calls run in-process instead
+when that is one worker, without fork, when the caller runs other Python
+threads or is a worker of this pool or of a daemonic ``multiprocessing``
+one, and when no OpenBLAS is found whose thread count could be set. The
+caller flushes ``sys.stdout`` and ``sys.stderr`` before it forks, else each
+worker would write the caller's buffered text again; each worker flushes
+them before its ``os._exit``, which would drop what it wrote.
 
-Pinned, because the scheduler may leave both workers on one CPU: on a
-2-vCPU guest, 4 of 36 unpinned maps of 100 trials at n=200, p=1000,
-SNR 0.5 ran both workers' trials mostly on one CPU and took 0.49-0.59 s
-against 0.23-0.32 s for the rest; pinned, none did. Self-scheduled,
-because equal blocks are not equal work: at SNR 10 the two workers' CPU
-times differed by 0-0.74 s over seven maps of one contiguous block each
-(2.94 s in an eighth), and by at most 0.06 s over eight self-scheduled
-maps. A claim costs one lock round trip on the shared counter, and each
-worker hands back one list of ``(index, value)`` pairs, which the caller
-puts in index order. On ``sim-null``, where a trial takes ~5 ms, the
-benchmark's ``cpu_s`` (the parent plus its reaped workers, median of ten
-40 s runs) was 0.844 s with blocks and 0.854 s self-scheduled.
-
-Fork, not spawn: the workers inherit the imported modules, and any patched
-module state, instead of importing numpy and this package afresh, which
-takes about a third of the time of 100 trials at SNR 0.5. ``fn`` itself
-reaches the workers the same way, as a module global set for the pool's
-lifetime, so it need not pickle: closures work, and a function it looks up
-by name (a replaced ``sim.run_trial``, say) is the one called. Only each
-worker's CPU and the count go to the workers, and only the pairs come
-back, pickled.
-
-An exception in a worker is re-raised in the caller with its type, and
-the other workers claim no further index once it is raised. The
-pool is joined before ``map_indices`` returns, so the workers' CPU time is
-counted to this process's reaped children. Side effects of ``fn`` in a
-worker (a counter it bumps, state its closure holds) die with the worker.
+An exception in a worker is re-raised with its type (as a ``RuntimeError``
+with its repr if it does not pickle), and that worker empties the pipe, so
+no worker claims a further index. A worker that dies without sending its
+pairs (killed by a signal, say) raises ``ChildProcessError`` with its pid
+and status. Every worker is reaped, and killed first if still running (the
+map failed or was interrupted), before ``map_indices`` returns or raises,
+so none outlives the call and its CPU time counts to the caller's reaped
+children. Side effects of ``fn`` in a worker die with the worker.
 """
 
 import os
+import pickle
+import struct
 import sys
 import threading
-from typing import Callable, Optional, TypeVar
+from contextlib import suppress
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-# the running pool's function and its shared next unclaimed index,
-# inherited by the forked workers
-_fn: Optional[Callable[[int], object]] = None
-_next = None
+_in_worker = False  # True in a worker map_indices forked: maps in-process
+_WRITE = 512  # bytes per queue write: whole words, within POSIX's PIPE_BUF
 
 
 def usable_cpus() -> int:
@@ -67,15 +52,13 @@ def usable_cpus() -> int:
 
 
 def _worker_count(count: int) -> int:
-    """CPUs this process may run on, capped at ``count``.
-
-    1 without fork; in a process that runs other Python threads, since a
-    fork copies only the calling thread and a lock another thread holds
-    stays held in the child; and in a daemonic process such as a
-    ``multiprocessing`` pool worker, which may not start children.
-    """
+    """CPUs this process may run on, capped at ``count``; 1 without fork,
+    with other Python threads (a lock one holds stays held in the child),
+    in a worker of this pool (whose pool would multiply the processes) and
+    in a daemonic ``multiprocessing`` worker, which may not start children."""
     mp = sys.modules.get("multiprocessing")
-    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+    if (_in_worker
+            or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
             or threading.active_count() > 1
             or (mp is not None and mp.current_process().daemon)):
         return 1
@@ -113,51 +96,95 @@ def _blas_thread_setter():
     return None
 
 
-def _drain(cpu: int, count: int) -> list:
-    """Pin this worker to ``cpu``, then call ``_fn`` on the next unclaimed
-    index below ``count`` until none is left; ``(index, value)`` pairs."""
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None and not stream.closed:
+            stream.flush()
+
+
+def _work(fn, queue, feed, out, cpu, set_blas_threads) -> None:
+    """A forked worker: claim and call, send ``(ok, pairs or exception)``."""
+    global _in_worker
+    _in_worker, status = True, 1
     try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:  # the CPU left this process's set since it was read
-        pass
-    pairs = []
-    while True:
-        with _next.get_lock():
-            i = _next.value
-            _next.value = i + 1
-        if i >= count:
-            return pairs
+        os.close(feed)  # else the queue never reaches its end
+        with suppress(OSError):  # the CPU left this process's set, say
+            os.sched_setaffinity(0, {cpu})
+        set_blas_threads(1)
+        pairs = []
         try:
-            pairs.append((i, _fn(i)))
-        except BaseException:
-            with _next.get_lock():  # the map fails: no worker claims more
-                _next.value = count
-            raise
+            while word := os.read(queue, 8):
+                if len(word) != 8:
+                    raise RuntimeError(f"torn index word {word!r}")
+                i = int.from_bytes(word, "little")
+                pairs.append((i, fn(i)))
+            payload = pickle.dumps((True, pairs))
+        except BaseException as exc:
+            while os.read(queue, _WRITE):  # the map fails: none claims more
+                pass
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:  # exc does not pickle and unpickle
+                payload = pickle.dumps((False, RuntimeError(repr(exc))))
+        with open(out, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(status)  # never back into the caller's stack
 
 
 def map_indices(fn: Callable[[int], T], count: int) -> list[T]:
     """``[fn(0), ..., fn(count - 1)]``, on the pool the module docstring
     describes."""
-    global _fn, _next
     workers = _worker_count(count)
     set_blas_threads = _blas_thread_setter() if workers > 1 else None
     if set_blas_threads is None:
         return [fn(i) for i in range(count)]
-    import multiprocessing  # ~8 ms, paid only by runs that start a pool
-    ctx = multiprocessing.get_context("fork")
     cpus = sorted(os.sched_getaffinity(0))
-    tasks = [(cpus[k % len(cpus)], count) for k in range(workers)]
-    _fn, _next = fn, ctx.Value("q", 0)
+    _flush_std_streams()  # else every worker writes the buffered text again
+    pairs = []
+    queue, feed = fds = list(os.pipe())  # the descriptors open here
+    children = {}  # each worker not yet reaped: the read end of its results
     try:
-        with ctx.Pool(workers, initializer=set_blas_threads,
-                      initargs=(1,)) as pool:
-            parts = pool.starmap(_drain, tasks, chunksize=1)
-            pool.close()
-            pool.join()
+        for k in range(workers):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, queue, feed, fds[-1], cpus[k % len(cpus)],
+                      set_blas_threads)
+            children[pid] = fds[-2]
+            os.close(fds.pop())
+        os.close(fds.pop(fds.index(queue)))
+        # Each write is whole 8-byte words and at most PIPE_BUF bytes, which
+        # a pipe takes in one piece, and each read asks for whole words, so
+        # the pipe only ever holds whole words: an 8-byte read gets one.
+        words = memoryview(struct.pack(f"<{count}Q", *range(count)))
+        with suppress(BrokenPipeError):  # no worker left; the reads say why
+            for start in range(0, len(words), _WRITE):
+                os.write(feed, words[start:start + _WRITE])
+        os.close(fds.pop(fds.index(feed)))
+        for pid, read in list(children.items()):
+            fds.remove(read)
+            with open(read, "rb") as fh:
+                payload = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if not payload or status:
+                raise ChildProcessError(f"pool worker {pid} ended with status "
+                                        f"{status} before sending its results")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            pairs += value
     finally:
-        _fn = _next = None
-    results = [None] * count
-    for part in parts:
-        for i, value in part:
-            results[i] = value
-    return results
+        for fd in fds:
+            os.close(fd)
+        for pid in children:  # the map failed or was interrupted
+            import signal  # ~0.7 ms at import time, paid only here
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [value for _, value in sorted(pairs)]

@@ -1,9 +1,15 @@
 """Experiment protocol tests: SNR control, determinism, per-trial invariants."""
 
+import contextlib
 import dataclasses
 import math
 import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -205,6 +211,40 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(pool, "usable_cpus", lambda: count)
 
 
+def assert_no_child_left():
+    """Every child process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``
+    (a forked child inherits the handler but not the timer)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter with ``src`` on its path and
+    ``PYTHONUNBUFFERED`` unset, so that its stdout is block-buffered."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+
+
 def trial_pids(monkeypatch, tmp_path):
     """Make ``run_trial`` log the id of the process that runs it; return
     a reader of the ids logged so far."""
@@ -264,7 +304,7 @@ class TestTrialPool:
         monkeypatch.setattr(sim, "run_trial", failing)  # inherited via fork
         with pytest.raises(NumericalFailureError, match="trial 9 failed"):
             run_experiment(parse_config(MIXED_DOC))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         doc = tmp_path / "run.cfg"
         doc.write_text(MIXED_DOC)
         capsys.readouterr()
@@ -275,21 +315,103 @@ class TestTrialPool:
         assert not (tmp_path / "t.csv").exists()
 
     def test_worker_error_stops_further_claims(self, monkeypatch, tmp_path):
+        # the last worker forked fails, so the caller reads the first one's
+        # results before it sees the error: that one must stop by itself
         cpus(monkeypatch, 2)
+        forked = []  # in worker k: the pids of the k workers before it
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)  # inherited
         log = tmp_path / "indices"
         log.write_text("")
 
         def failing(i):
             with open(log, "a") as fh:
                 fh.write(f"{i}\n")
-            if i == 0:
-                raise NumericalFailureError("index 0 failed")
+            if len(forked) == 1:
+                raise NumericalFailureError(f"index {i} failed")
             time.sleep(0.01)
             return i
 
-        with pytest.raises(NumericalFailureError, match="index 0 failed"):
+        with pytest.raises(NumericalFailureError, match=r"index \d+ failed"):
             pool.map_indices(failing, 100)
         assert len(log.read_text().split()) < 50
+        assert_no_child_left()
+
+    def test_unpicklable_worker_error_comes_back_as_its_repr(self,
+                                                             monkeypatch):
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def failing(i):
+            if os.getpid() != parent:
+                exc = ValueError(f"index {i} failed")
+                exc.hook = lambda: None  # a lambda does not pickle
+                raise exc
+            return i
+
+        with pytest.raises(RuntimeError,
+                           match=r"^ValueError\('index \d+ failed'\)$"):
+            pool.map_indices(failing, 10)
+        assert_no_child_left()
+
+    def test_interrupted_map_kills_its_workers(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(TimeoutError), deadline(0.5):
+            pool.map_indices(lambda i: time.sleep(20), 4)
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+    def test_dead_worker_raises(self, monkeypatch, tmp_path, capsys):
+        # a worker killed mid-map (by the OOM killer, say) sends no results
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def dies(i):
+            if i == 5 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.001)
+            return i
+
+        start = time.monotonic()
+        with deadline(15), pytest.raises(
+                ChildProcessError,
+                match=r"^pool worker \d+ ended with status -9 before"):
+            pool.map_indices(dies, 50)
+        assert time.monotonic() - start < 5
+        assert_no_child_left()
+        # every worker dies while the queue still holds more than a pipe
+        # buffer of indices: the caller's write must not wait for a reader
+        with deadline(15), pytest.raises(ChildProcessError):
+            pool.map_indices(lambda i: os.kill(os.getpid(), signal.SIGKILL),
+                             20_000)
+        assert_no_child_left()
+        real = sim.run_trial
+
+        def failing(cfg, trial_index, model=None):
+            if trial_index == 5 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cfg, trial_index, model=model)
+
+        monkeypatch.setattr(sim, "run_trial", failing)
+        doc = tmp_path / "run.cfg"
+        doc.write_text(MIXED_DOC)
+        capsys.readouterr()
+        with deadline(15):
+            code = main(["simulate", "--config", str(doc),
+                         "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("i/o error: pool worker ")
+        assert not (tmp_path / "t.csv").exists()
+        assert_no_child_left()
 
     def test_serial_inside_a_pool_worker(self, monkeypatch):
         cpus(monkeypatch, 2)
@@ -387,8 +509,8 @@ class TestTrialPool:
 
     def test_uneven_count_in_order_each_index_once(self, monkeypatch,
                                                    tmp_path):
-        # more workers than CPUs, racing on the shared counter; a claim
-        # that two workers made, or that none did, shows in the log
+        # more workers than CPUs, racing on the queue; a claim that two
+        # workers made, or that none did, shows in the log
         cpus(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 1)
         log = tmp_path / "indices"
         log.write_text("")
@@ -409,10 +531,63 @@ class TestTrialPool:
         assert [r.trial_index for r in pooled] == list(range(13))
         assert pooled == serial
 
+    @pytest.mark.parametrize("workers", ["two", "oversubscribed"])
+    def test_queue_longer_than_a_pipe_buffer(self, monkeypatch, workers):
+        # 160 KB of index words: the caller's writes block until workers
+        # read, and a word torn across two reads would lose or bend an index
+        cpus(monkeypatch, 2 if workers == "two"
+             else 2 * len(os.sched_getaffinity(0)) + 1)
+        with deadline(60):
+            assert pool.map_indices(lambda i: i, 20_000) \
+                == list(range(20_000))
+        assert_no_child_left()
+
+    def test_map_inside_a_worker_runs_in_it(self, monkeypatch):
+        cpus(monkeypatch, 2)
+
+        def inner_pids(i):
+            return os.getpid(), pool.map_indices(lambda j: os.getpid(), 4)
+
+        for worker, inner in pool.map_indices(inner_pids, 6):
+            assert worker != os.getpid() and inner == [worker] * 4
+
     def test_no_worker_outlives_the_run(self, monkeypatch):
         cpus(monkeypatch, 2)
         run_experiment(parse_config(MIXED_DOC))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_std_streams_flushed_around_the_workers(self):
+        # without PYTHONUNBUFFERED a worker's writes sit in its stdout
+        # buffer, and text the caller buffered before the map would be
+        # copied into every worker
+        out = run_python("""
+            import os, sys
+            from mdlasso import pool
+            pool.usable_cpus = lambda: 2
+            sys.stdout.write("A")
+
+            def fn(i):
+                sys.stdout.write(f"[w{i}]")
+                return os.getpid()
+
+            assert os.getpid() not in pool.map_indices(fn, 8)
+            sys.stdout.write("B\\n")
+        """).stdout
+        assert out.startswith("A") and out.count("A") == 1
+        assert all(f"[w{i}]" in out for i in range(8))
+        assert out.endswith("B\n") and out.count("B") == 1
+
+    def test_pool_does_not_import_multiprocessing(self):
+        out = run_python("""
+            import os, sys
+            import mdlasso
+            from mdlasso import pool
+            pool.usable_cpus = lambda: 2
+            assert os.getpid() not in pool.map_indices(
+                lambda i: os.getpid(), 8)
+            print("multiprocessing" in sys.modules)
+        """).stdout
+        assert out == "False\n"
 
 
 class TestIdentityCovariance:
