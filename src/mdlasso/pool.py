@@ -8,34 +8,45 @@ The calls run in workers started with ``os.fork``, one per CPU in this
 process's ``os.sched_getaffinity`` set and at most ``count``. They inherit
 the imported modules and patched module state, so ``fn`` need not pickle.
 Worker k pins itself to the k-th CPU (cycling; unpinned if the kernel
-refuses) and holds its OpenBLAS to one thread. It then claims indices one at
-a time, each an 8-byte word read from a pipe that the caller fills with
-every index and closes, so a worker on a busier CPU claims fewer (the README
-has the measurements). It sends back one pickled list of ``(index, value)``
-pairs on a pipe of its own. A map of 100 no-op indices took a median 10 ms
-in a fresh process on a 2-vCPU guest, against 42 ms on the
-``multiprocessing.Pool`` this replaced. The calls run in-process instead
-when that is one worker, without fork, when the caller runs other Python
-threads or is a worker of this pool or of a daemonic ``multiprocessing``
-one, and when no OpenBLAS is found whose thread count could be set. The
-caller flushes ``sys.stdout`` and ``sys.stderr`` before it forks, else each
-worker would write the caller's buffered text again; each worker flushes
-them before its ``os._exit``, which would drop what it wrote.
+refuses) and holds its OpenBLAS to one thread. Before it forks, the caller
+writes every index once, as an 8-byte word, to a temporary file and rewinds
+it; the workers share that open file, and with it one file offset. Linux
+locks a shared regular file's offset for each read, so each worker's
+8-byte ``os.read`` claims the next whole word, and a worker on a busier CPU
+claims fewer (the README has the measurements). The file must be a regular
+one: a memfd's offset is not locked, and two workers were seen to claim one
+index. A worker sends back one pickled list of ``(index, value)`` pairs on
+a pipe of its own, and the caller takes the pipes in the order the workers
+finish. A map of 100 no-op indices took a median 11-14 ms in a fresh
+process on a 2-vCPU guest (two sets of ten runs). The calls run in-process
+instead when that is one worker, without fork, when the caller runs other
+Python threads or is a worker of this pool or of a daemonic
+``multiprocessing`` one, and when no OpenBLAS is found whose thread count
+could be set. The caller flushes ``sys.stdout`` and ``sys.stderr`` before
+it forks, else each worker would write the caller's buffered text again;
+each worker flushes them before its ``os._exit``, which would drop what it
+wrote.
 
 An exception in a worker is re-raised with its type (as a ``RuntimeError``
-with its repr if it does not pickle), and that worker empties the pipe, so
-no worker claims a further index. A worker that dies without sending its
-pairs (killed by a signal, say) raises ``ChildProcessError`` with its pid
-and status. Every worker is reaped, and killed first if still running (the
-map failed or was interrupted), before ``map_indices`` returns or raises,
-so none outlives the call and its CPU time counts to the caller's reaped
-children. Side effects of ``fn`` in a worker die with the worker.
+with its repr if it does not pickle), and that worker moves the shared
+offset to the end of the file, so no worker claims a further index. A
+worker that dies without sending its pairs (killed by a signal, say) raises
+``ChildProcessError`` with its pid and status as soon as its pipe closes.
+A temporary directory (``tempfile.gettempdir()``) that cannot be written
+raises its ``OSError`` before any worker starts. Every worker is reaped,
+and killed first if still running (the map failed or was interrupted),
+before ``map_indices`` returns or raises, so none outlives the call and its
+CPU time counts to the caller's reaped children. Side effects of ``fn`` in
+a worker die with the worker.
 """
 
+import functools
 import os
 import pickle
+import select
 import struct
 import sys
+import tempfile
 import threading
 from contextlib import suppress
 from typing import Callable, TypeVar
@@ -43,7 +54,6 @@ from typing import Callable, TypeVar
 T = TypeVar("T")
 
 _in_worker = False  # True in a worker map_indices forked: maps in-process
-_WRITE = 512  # bytes per queue write: whole words, within POSIX's PIPE_BUF
 
 
 def usable_cpus() -> int:
@@ -54,8 +64,8 @@ def usable_cpus() -> int:
 def _worker_count(count: int) -> int:
     """CPUs this process may run on, capped at ``count``; 1 without fork,
     with other Python threads (a lock one holds stays held in the child),
-    in a worker of this pool (whose pool would multiply the processes) and
-    in a daemonic ``multiprocessing`` worker, which may not start children."""
+    and in a worker of this pool or a daemonic ``multiprocessing`` one: a
+    pool in each worker of another multiplies the processes."""
     mp = sys.modules.get("multiprocessing")
     if (_in_worker
             or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
@@ -71,11 +81,13 @@ _BLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads64_")
 
 
+@functools.cache
 def _blas_thread_setter():
     """``set_num_threads`` of the OpenBLAS that numpy has loaded, or None.
 
-    The library is looked up in /proc/self/maps; None where that file, an
-    OpenBLAS library or the symbol is missing (another BLAS, for example).
+    The library is looked up in /proc/self/maps, once per process; None
+    where that file, an OpenBLAS library or the symbol is missing (another
+    BLAS, for example).
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -102,26 +114,22 @@ def _flush_std_streams() -> None:
             stream.flush()
 
 
-def _work(fn, queue, feed, out, cpu, set_blas_threads) -> None:
+def _work(fn, queue, out, cpu) -> None:
     """A forked worker: claim and call, send ``(ok, pairs or exception)``."""
     global _in_worker
     _in_worker, status = True, 1
     try:
-        os.close(feed)  # else the queue never reaches its end
         with suppress(OSError):  # the CPU left this process's set, say
             os.sched_setaffinity(0, {cpu})
-        set_blas_threads(1)
+        _blas_thread_setter()(1)  # the caller's, cached before it forked
         pairs = []
         try:
             while word := os.read(queue, 8):
-                if len(word) != 8:
-                    raise RuntimeError(f"torn index word {word!r}")
                 i = int.from_bytes(word, "little")
                 pairs.append((i, fn(i)))
             payload = pickle.dumps((True, pairs))
         except BaseException as exc:
-            while os.read(queue, _WRITE):  # the map fails: none claims more
-                pass
+            os.lseek(queue, 0, os.SEEK_END)  # the map fails: none claims more
             try:
                 payload = pickle.dumps((False, exc))
                 pickle.loads(payload)
@@ -141,50 +149,49 @@ def map_indices(fn: Callable[[int], T], count: int) -> list[T]:
     """``[fn(0), ..., fn(count - 1)]``, on the pool the module docstring
     describes."""
     workers = _worker_count(count)
-    set_blas_threads = _blas_thread_setter() if workers > 1 else None
-    if set_blas_threads is None:
+    if workers == 1 or _blas_thread_setter() is None:
         return [fn(i) for i in range(count)]
     cpus = sorted(os.sched_getaffinity(0))
-    _flush_std_streams()  # else every worker writes the buffered text again
-    pairs = []
-    queue, feed = fds = list(os.pipe())  # the descriptors open here
-    children = {}  # each worker not yet reaped: the read end of its results
-    try:
-        for k in range(workers):
-            fds += os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(fn, queue, feed, fds[-1], cpus[k % len(cpus)],
-                      set_blas_threads)
-            children[pid] = fds[-2]
-            os.close(fds.pop())
-        os.close(fds.pop(fds.index(queue)))
-        # Each write is whole 8-byte words and at most PIPE_BUF bytes, which
-        # a pipe takes in one piece, and each read asks for whole words, so
-        # the pipe only ever holds whole words: an 8-byte read gets one.
-        words = memoryview(struct.pack(f"<{count}Q", *range(count)))
-        with suppress(BrokenPipeError):  # no worker left; the reads say why
-            for start in range(0, len(words), _WRITE):
-                os.write(feed, words[start:start + _WRITE])
-        os.close(fds.pop(fds.index(feed)))
-        for pid, read in list(children.items()):
-            fds.remove(read)
-            with open(read, "rb") as fh:
-                payload = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if not payload or status:
-                raise ChildProcessError(f"pool worker {pid} ended with status "
-                                        f"{status} before sending its results")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            pairs += value
-    finally:
-        for fd in fds:
-            os.close(fd)
-        for pid in children:  # the map failed or was interrupted
-            import signal  # ~0.7 ms at import time, paid only here
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    pairs, fds = [], []  # the (index, value) pairs back; the pipe ends open
+    children = {}  # the read end of each worker not yet reaped: its pid
+    poller = select.poll()
+    with tempfile.TemporaryFile() as queue:
+        queue.write(struct.pack(f"<{count}Q", *range(count)))
+        queue.seek(0)  # writes the words out; the workers share this offset
+        _flush_std_streams()  # else each worker writes the buffered text again
+        try:
+            for k in range(workers):
+                fds += os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, queue.fileno(), fds[-1], cpus[k % len(cpus)])
+                os.close(fds.pop())
+                children[fds[-1]] = pid
+                poller.register(fds[-1], select.POLLIN)
+            while children:  # in the order the workers finish
+                for read, _ in poller.poll():
+                    # a worker writes only at its end: this read waits for
+                    # no more than the rest of its results
+                    payload = bytearray()
+                    while chunk := os.read(read, 1 << 16):
+                        payload += chunk
+                    poller.unregister(read)
+                    pid = children[read]
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del children[read]
+                    if not payload or status:
+                        raise ChildProcessError(f"pool worker {pid} ended "
+                                                f"with status {status} before"
+                                                " sending its results")
+                    ok, value = pickle.loads(payload)
+                    if not ok:
+                        raise value
+                    pairs += value
+        finally:
+            for fd in fds:
+                os.close(fd)
+            for pid in children.values():  # the map failed or was interrupted
+                import signal  # ~0.7 ms at import time, paid only here
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return [value for _, value in sorted(pairs)]

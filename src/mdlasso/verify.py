@@ -460,16 +460,14 @@ def check_sim_dominance_floor():
     assert summary.num_converged == 1000
     # the bound must dominate at solver output, not only at the theta = 0 exit
     assert sum(r.report.iterations > 0 for r in records) >= 500
-    cert_floor = typical_set.prob_lower_bounds(50, 20, 0.9).exact_product \
-        - math.exp(-0.2 * 50 * 0.5)
+    floor = bounds.probability_floor(50, 20, 0.9, 0.2, 0.5)
     k = summary.num_converged
     f = summary.dominance_fraction
     se = math.sqrt(max(f * (1 - f), 1e-12) / k)
-    assert f >= cert_floor - 3 * se, f"{f} < {cert_floor}"
+    assert f >= floor.floor - 3 * se, f"{f} < {floor.floor}"
     typ = summary.typical_fraction
-    bound = typical_set.prob_lower_bounds(50, 20, 0.9).exact_product
     se_t = math.sqrt(max(typ * (1 - typ), 1e-12) / len(records))
-    assert typ >= bound - 3 * se_t
+    assert typ >= floor.chain.exact_product - 3 * se_t
 
 
 CHECKS = [

@@ -1,5 +1,6 @@
 """Experiment protocol tests: SNR control, determinism, per-trial invariants."""
 
+import builtins
 import contextlib
 import dataclasses
 import math
@@ -9,6 +10,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -233,6 +235,14 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+class SlowToSend(NumericalFailureError):
+    """An error that takes 0.5 s to pickle, as a large one would to send."""
+
+    def __reduce__(self):
+        time.sleep(0.5)
+        return super().__reduce__()
+
+
 def run_python(code):
     """Run ``code`` in a fresh interpreter with ``src`` on its path and
     ``PYTHONUNBUFFERED`` unset, so that its stdout is block-buffered."""
@@ -315,33 +325,23 @@ class TestTrialPool:
         assert not (tmp_path / "t.csv").exists()
 
     def test_worker_error_stops_further_claims(self, monkeypatch, tmp_path):
-        # the last worker forked fails, so the caller reads the first one's
-        # results before it sees the error: that one must stop by itself
+        # the failing worker takes 0.5 s to send its error, so the caller
+        # cannot stop the other in time: that one must stop by itself
         cpus(monkeypatch, 2)
-        forked = []  # in worker k: the pids of the k workers before it
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)  # inherited
         log = tmp_path / "indices"
         log.write_text("")
 
         def failing(i):
             with open(log, "a") as fh:
                 fh.write(f"{i}\n")
-            if len(forked) == 1:
-                raise NumericalFailureError(f"index {i} failed")
+            if i == 0:
+                raise SlowToSend("index 0 failed")
             time.sleep(0.01)
             return i
 
-        with pytest.raises(NumericalFailureError, match=r"index \d+ failed"):
+        with pytest.raises(SlowToSend, match="index 0 failed"):
             pool.map_indices(failing, 100)
-        assert len(log.read_text().split()) < 50
+        assert len(log.read_text().split()) < 25
         assert_no_child_left()
 
     def test_unpicklable_worker_error_comes_back_as_its_repr(self,
@@ -387,8 +387,8 @@ class TestTrialPool:
             pool.map_indices(dies, 50)
         assert time.monotonic() - start < 5
         assert_no_child_left()
-        # every worker dies while the queue still holds more than a pipe
-        # buffer of indices: the caller's write must not wait for a reader
+        # every worker dies with most of 20 000 indices unclaimed: the map
+        # raises instead of waiting on the rest of the queue
         with deadline(15), pytest.raises(ChildProcessError):
             pool.map_indices(lambda i: os.kill(os.getpid(), signal.SIGKILL),
                              20_000)
@@ -410,6 +410,87 @@ class TestTrialPool:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("i/o error: pool worker ")
+        assert not (tmp_path / "t.csv").exists()
+        assert_no_child_left()
+
+    def test_dead_worker_noticed_before_the_others_finish(self, monkeypatch):
+        # the last worker forked dies at its first claim; the caller must not
+        # wait for the first to run out the queue (50 x 20 ms) before it raises
+        cpus(monkeypatch, 2)
+        forked = []  # in worker k: the pids of the k workers before it
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)  # inherited
+
+        def work(i):
+            if len(forked) == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.02)
+            return i
+
+        start = time.monotonic()
+        with deadline(15), pytest.raises(
+                ChildProcessError,
+                match=r"^pool worker \d+ ended with status -9 before"):
+            pool.map_indices(work, 50)
+        assert time.monotonic() - start < 0.5
+        assert_no_child_left()
+
+    def test_failed_fork_leaves_no_child_or_descriptor(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(pool, "_blas_thread_setter",
+                            lambda: lambda threads: None)
+        real_fork = os.fork
+        calls = []
+
+        def fork():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            pool.map_indices(lambda i: time.sleep(0.01), 20)
+        assert len(calls) == 2
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_blas_setter_looked_up_once(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        pool._blas_thread_setter.cache_clear()
+        real_open = builtins.open
+        lookups = []
+
+        def counting_open(file, *args, **kwargs):
+            if file == "/proc/self/maps":
+                lookups.append(os.getpid())
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for _ in range(2):
+            assert pool.map_indices(lambda i: i, 4) == [0, 1, 2, 3]
+        assert lookups == [os.getpid()]
+
+    def test_unwritable_temp_dir_is_an_io_error(self, monkeypatch, tmp_path,
+                                                capsys):
+        # the index file is the pool's one file; without it no worker starts
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        doc = tmp_path / "run.cfg"
+        doc.write_text(MIXED_DOC)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(doc),
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: [Errno 2]")
         assert not (tmp_path / "t.csv").exists()
         assert_no_child_left()
 
@@ -533,8 +614,8 @@ class TestTrialPool:
 
     @pytest.mark.parametrize("workers", ["two", "oversubscribed"])
     def test_queue_longer_than_a_pipe_buffer(self, monkeypatch, workers):
-        # 160 KB of index words: the caller's writes block until workers
-        # read, and a word torn across two reads would lose or bend an index
+        # 160 KB of index words, more than a pipe buffer holds: workers
+        # racing on the shared file offset must claim each word whole, once
         cpus(monkeypatch, 2 if workers == "two"
              else 2 * len(os.sched_getaffinity(0)) + 1)
         with deadline(60):
