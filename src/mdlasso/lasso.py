@@ -18,9 +18,12 @@ the returned point rather than about step sizes.
 
 Both iterations write their length-n and length-p vectors into arrays
 allocated once per call, with the same floating-point operations in the
-same order as the plain expressions, so the iterates are those expressions'
-bits. Per ISTA iteration, only the KKT residual's recomputation at the
-nonzero coordinates allocates, arrays the size of that set.
+same order as the plain expressions. Their ``np.dot`` products give the
+bits of ``X @ v`` for a C- or Fortran-contiguous X, as every drawn design
+is (other strides may differ in the last bits), so the iterates are those
+expressions' bits. ISTA's first residual is Y, which Y - X @ 0 is. Per
+iteration, only the KKT residual's recomputation at the nonzero
+coordinates allocates, arrays the size of that set.
 """
 
 import math
@@ -45,7 +48,8 @@ class LassoProblem:
     square roots, the penalty weights; ``is_typical`` can reuse the former.
     ``X`` is a read-only view of the caller's float64 design, not a copy:
     the caller's array stays writeable, and writing it afterwards changes
-    ``X`` but not ``mean_sq`` or ``w``.
+    ``X`` but not ``mean_sq`` or ``w``. ``Y`` is contiguous: a strided
+    response is copied, so that ``solve`` reads it as its first residual.
     """
 
     X: np.ndarray
@@ -57,7 +61,7 @@ class LassoProblem:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64).view()
-        Y = np.asarray(self.Y, dtype=np.float64).reshape(-1)
+        Y = np.ascontiguousarray(self.Y, dtype=np.float64).reshape(-1)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if Y.shape[0] != X.shape[0]:
@@ -104,10 +108,13 @@ class SolveReport:
 
 
 def objective(prob: LassoProblem, theta: np.ndarray) -> float:
-    """F(theta); the additive constant mu2 is excluded."""
+    """F(theta); the additive constant mu2 is excluded. At theta = 0 the
+    fit ||Y||^2 / (2 n sigma2) is returned: the same bits, no product."""
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape[0] != prob.p:
         raise ValueError(f"theta has {theta.shape[0]} entries, expected {prob.p}")
+    if not np.count_nonzero(theta):
+        return float(prob.Y @ prob.Y) / (2.0 * prob.n * prob.sigma2)
     resid = prob.Y - prob.X @ theta
     fit = float(resid @ resid) / (2.0 * prob.n * prob.sigma2)
     return fit + prob.coeffs.mu1 * weighted_l1(theta, prob.w)
@@ -128,8 +135,9 @@ def _kkt(theta: np.ndarray, g: np.ndarray, level: np.ndarray,
     each zero coordinate's term."""
     np.abs(g, out=out)
     np.subtract(out, level, out=out)
-    active = np.flatnonzero(theta)
-    out[active] = np.abs(g[active] + level[active] * np.sign(theta[active]))
+    active = theta.nonzero()[0]
+    if active.size:
+        out[active] = np.abs(g[active] + level[active] * np.sign(theta[active]))
     return max(float(out.max()), 0.0)
 
 
@@ -151,13 +159,14 @@ def _lipschitz(prob: LassoProblem) -> float:
     rng = np.random.default_rng(0)  # fixed: the estimate is deterministic
     v = rng.standard_normal(prob.p)
     v /= math.sqrt(v @ v)
+    X, XT, dot = prob.X, prob.X.T, np.dot
     Xv = np.empty(prob.n)
     u = np.empty(prob.p)
     rho_prev = 0.0
     rho = 0.0
     for _ in range(_POWER_ITERATIONS):
-        np.matmul(prob.X, v, out=Xv)
-        np.matmul(prob.X.T, Xv, out=u)
+        dot(X, v, out=Xv)
+        dot(XT, Xv, out=u)
         rho = float(v @ u)
         norm_u = math.sqrt(u @ u)
         if norm_u == 0.0:
@@ -173,9 +182,10 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
     """Minimize the objective from theta = 0 until the KKT residual <= tol.
 
-    The gradient at theta = 0 is computed first; if theta = 0 already meets
-    the KKT conditions it is returned after 0 iterations and the step size
-    is never estimated. Otherwise the step is estimated once and that
+    The gradient at theta = 0 is computed first, from the residual Y; if
+    theta = 0 already meets the KKT conditions it is returned after 0
+    iterations, the step size is never estimated, and its objective value
+    takes no product. Otherwise the step is estimated once and that
     gradient serves as the first iteration's.
     Non-convergence within ``max_iter`` is reported via the ``converged``
     flag, not raised.
@@ -185,13 +195,15 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X, Y, w = prob.X, prob.Y, prob.w
+    XT, dot = X.T, np.dot
     mu1 = prob.coeffs.mu1
     scale = prob.n * prob.sigma2
     kkt_level = mu1 * w
     step = level = None
     theta = np.zeros(prob.p)
     mag = np.zeros(prob.p)  # |theta|: the shrink's max(|x| - level, 0)
-    resid = np.empty(prob.n)
+    resid = Y  # Y - X @ 0; later iterates' residuals go to ``fit``
+    fit = np.empty(prob.n)
     g = np.empty(prob.p)
     work = np.empty(prob.p)
     trace = []
@@ -199,9 +211,7 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     # Each expression keeps its association order, e.g. (step * mu1) * w:
     # the iterates are pinned bit for bit (TestFastPathOracle).
     while True:
-        np.matmul(X, theta, out=resid)
-        np.subtract(Y, resid, out=resid)
-        np.matmul(X.T, resid, out=g)
+        dot(XT, resid, out=g)
         np.divide(g, -scale, out=g)  # -(X^T resid) / scale, to the bit
         kkt = _kkt(theta, g, kkt_level, work)
         if iterations == max_iter:
@@ -223,6 +233,8 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
         np.sign(work, out=work)
         np.multiply(work, mag, out=theta)
         iterations += 1
+        dot(X, theta, out=fit)
+        resid = np.subtract(Y, fit, out=fit)
     obj = objective(prob, theta)
     trace.append(obj)
     return SolveReport(

@@ -36,7 +36,8 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     Summed without an n x p temporary of squares. For a C-ordered X with
     p > 1 the result equals ``np.mean(X ** 2, axis=0)`` bit for bit; where
     the summed axis is contiguous (p = 1, or Fortran order), numpy sums
-    pairwise and the two may differ in the last bits.
+    pairwise and the two may differ in the last bits. Validity is checked
+    on the extreme mean squares; a mask is built only to name a bad column.
 
     Raises
     ------
@@ -48,8 +49,9 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
     mean_sq = np.einsum("ij,ij->j", X, X) / X.shape[0]
-    valid = (mean_sq > 0.0) & (mean_sq < np.inf)  # False for NaN too
-    if not valid.all():
+    if not (mean_sq.min(initial=np.inf) > 0.0
+            and mean_sq.max(initial=0.0) < np.inf):
+        valid = (mean_sq > 0.0) & (mean_sq < np.inf)  # False for NaN too
         j = int(np.argmin(valid))
         what = ("is identically zero" if mean_sq[j] == 0.0 else
                 "has a non-finite entry or a mean square that overflows")

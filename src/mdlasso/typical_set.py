@@ -56,7 +56,7 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
     as ``penalty.column_mean_squares`` computes them and
     ``LassoProblem.mean_sq`` keeps them. ``cov`` is a p x p matrix, or None
     for the identity. The interval is closed: a ratio exactly equal to
-    1 +/- eps is typical.
+    1 +/- eps is typical. Only the extreme ratios are compared; a NaN fails.
     """
     mean_sq = np.asarray(mean_sq, dtype=np.float64)
     if mean_sq.ndim != 1:
@@ -75,7 +75,8 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
         if not np.all(diag > 0.0):
             raise ValueError("covariance diagonal must be strictly positive")
         ratio = mean_sq / diag
-    return bool(np.all(ratio >= 1.0 - eps) and np.all(ratio <= 1.0 + eps))
+    return bool(ratio.min(initial=np.inf) >= 1.0 - eps
+                and ratio.max(initial=-np.inf) <= 1.0 + eps)
 
 
 def sanov_exponent(n: int, eps: float) -> float:

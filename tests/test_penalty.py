@@ -36,7 +36,28 @@ class TestColumnMeanSquares:
     def test_names_a_non_finite_column(self, entry):
         X = np.ones((3, 3))
         X[1, 2] = entry
-        with pytest.raises(ValueError, match="column 2 .* non-finite entry"):
+        with pytest.raises(ValueError) as err:
+            column_mean_squares(X)
+        assert str(err.value) == ("column 2 of the design matrix has a "
+                                  "non-finite entry or a mean square that "
+                                  "overflows")
+
+    def test_names_a_zero_column(self):
+        X = np.ones((3, 4))
+        X[:, 2] = 0.0
+        with pytest.raises(ValueError) as err:
+            column_mean_squares(X)
+        assert str(err.value) == ("column 2 of the design matrix is "
+                                  "identically zero")
+
+    @pytest.mark.parametrize("first,second", [(np.nan, 0.0), (0.0, np.inf)],
+                             ids=["nan_then_zero", "zero_then_inf"])
+    def test_names_the_first_bad_column(self, first, second):
+        X = np.ones((2, 5))
+        X[:, 1] = first
+        X[:, 3] = second
+        what = "identically zero" if first == 0.0 else "non-finite entry"
+        with pytest.raises(ValueError, match=f"^column 1 .*{what}"):
             column_mean_squares(X)
 
     def test_no_n_by_p_temporary(self):

@@ -33,6 +33,18 @@ class TestIsTypical:
         assert is_typical(msq(X_lo), np.eye(1), 0.375)
         assert not is_typical(msq(X_lo), np.eye(1), 0.3749999)
 
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("cov", [None, np.eye(3)], ids=["identity", "cov"])
+    def test_nan_mean_square_is_not_typical(self, where, cov):
+        # a NaN fails every comparison, so min/max checks written as
+        # not (ratio < 1 - eps) would call it typical
+        mean_sq = np.ones(3)
+        mean_sq[where] = np.nan
+        assert not is_typical(mean_sq, cov, 0.5)
+
+    def test_infinite_mean_square_is_not_typical(self):
+        assert not is_typical(np.array([1.0, np.inf]), None, 0.5)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             is_typical(msq(np.ones((3, 2))), np.eye(3), 0.5)
