@@ -139,9 +139,11 @@ def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
     Raises
     ------
     InvalidCertificateError
-        If the noise variances of problem and model disagree, or the
+        If the noise variances of problem and model disagree, the
         problem's penalty coefficients fall below ``min_coefficients`` for
-        (order, beta, eps).
+        (order, beta, eps), or the main term is not finite because the
+        objective or the baseline overflows (||Y||^2 does at sigma2 near
+        the float64 maximum).
     """
     if abs(prob.sigma2 - model.sigma2) > 1e-9 * model.sigma2:
         raise InvalidCertificateError(
@@ -157,6 +159,10 @@ def regret_certificate(prob: LassoProblem, model: GaussianLinearModel,
             f"fall below the required minimums "
             f"({minimums.mu1:.6g}, {minimums.mu2:.6g})")
     main = regret_main_term(prob, model.theta_star, theta_hat)
+    if not math.isfinite(main):
+        raise InvalidCertificateError(
+            f"regret main term is {main}: the objective or the baseline "
+            f"||Y - X theta_star||^2 / (2 n sigma2) overflows")
     return RegretCertificate(config, main, main + config.tau, minimums)
 
 
@@ -201,10 +207,10 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
     InsufficientAcceptanceError
         If fewer than 10 draws are accepted.
     InvalidCertificateError
-        If an accepted draw's noise variance does not match ``model``'s or
-        its penalty coefficients fall below ``min_coefficients``, or the
-        typical-set bound is vacuous at the problem size (the closed-form
-        penalty term would be undefined).
+        If an accepted draw's noise variance does not match ``model``'s,
+        its penalty coefficients fall below ``min_coefficients`` or its
+        main term is not finite, or the typical-set bound is vacuous at
+        the problem size (the closed-form penalty term would be undefined).
     """
     if num_mc < 100:
         raise ValueError(f"num_mc must be >= 100, got {num_mc}")

@@ -43,7 +43,8 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     ------
     ValueError
         If X is not 2-D, or any column is identically zero, holds a
-        non-finite entry, or has a mean square that overflows.
+        non-finite entry, or has a mean square that overflows or that
+        underflows to 0 (entries below ~1e-154 in magnitude).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -53,8 +54,12 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
             and mean_sq.max(initial=0.0) < np.inf):
         valid = (mean_sq > 0.0) & (mean_sq < np.inf)  # False for NaN too
         j = int(np.argmin(valid))
-        what = ("is identically zero" if mean_sq[j] == 0.0 else
-                "has a non-finite entry or a mean square that overflows")
+        if mean_sq[j] != 0.0:
+            what = "has a non-finite entry or a mean square that overflows"
+        elif np.any(X[:, j]):
+            what = "has a mean square that underflows to 0"
+        else:
+            what = "is identically zero"
         raise ValueError(f"column {j} of the design matrix {what}")
     return mean_sq
 

@@ -3,11 +3,11 @@
 A trial at configuration (n, p, snr, ...) draws a design with i.i.d.
 N(0, I) rows and responses from the true model at the noise variance that
 realizes the requested signal-to-noise ratio E[(x^T theta_star)^2] / sigma2,
-builds the minimal valid penalty, solves the lasso, and records the
-Bhattacharyya divergence at the solution, twice the squared Hellinger
-distance (in the [0,1]-normalized convention; numerically this equals the
-[0,2]-ranged hellinger_sq value), the regret bound, design typicality, and
-whether the bound dominated the divergence at the configured order lam.
+solves the lasso under the minimal valid penalty (built once per config),
+and records the Bhattacharyya divergence at the solution, twice the squared
+Hellinger distance ([0,1]-normalized; numerically equal to the [0,2]-ranged
+hellinger_sq value), the regret bound, design typicality, and whether the
+bound dominated the divergence at the configured order lam.
 
 Trials are reproducible: trial i draws from the (seed, i) substream, so
 records are bit-identical regardless of evaluation order or of the process
@@ -25,7 +25,7 @@ from .bounds import BoundConfig, RegretCertificate, regret_certificate
 from .divergences import bhattacharyya, hellinger_sq
 from .lasso import LassoProblem, SolveReport, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
-from .penalty import min_coefficients
+from .penalty import PenaltyCoefficients, min_coefficients
 from .pool import map_indices
 from .seeding import substream
 from .typical_set import is_typical
@@ -56,7 +56,8 @@ class ExperimentConfig:
     is not given from snr = theta_star^T theta_star / sigma2; both must come
     out finite and positive. This is the package's one SNR-to-noise rule.
     The feature covariance is the identity, which the model holds as
-    ``cov=None``.
+    ``cov=None``. Construction also builds the one model, bound config and
+    ``min_coefficients`` (at sigma2) that every trial of the config shares.
     """
 
     n: int
@@ -72,6 +73,9 @@ class ExperimentConfig:
     sparsity: Optional[int] = None
     magnitude: float = DEFAULT_MAGNITUDE
     theta_star: np.ndarray = field(init=False, repr=False)
+    _bounds: BoundConfig = field(init=False, repr=False)
+    _model: GaussianLinearModel = field(init=False, repr=False)
+    _coeffs: PenaltyCoefficients = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
@@ -86,7 +90,7 @@ class ExperimentConfig:
             raise ValueError(f"snr must be positive, got {self.snr}")
         if self.sigma2 is not None and not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        self.bound_config()  # validates lam/beta/eps/tau jointly
+        bc = BoundConfig(DivergenceOrder(self.lam), self.beta, self.eps, self.tau)
         if self.sparsity is None:
             object.__setattr__(self, "sparsity", min(DEFAULT_SPARSITY, self.p))
         theta = default_theta_star(self.p, self.sparsity, self.magnitude)
@@ -100,27 +104,26 @@ class ExperimentConfig:
         if not (0.0 < sigma2 < math.inf and 0.0 < snr < math.inf):
             raise ValueError(f"sigma2={sigma2} and snr={snr} must both be "
                              f"finite and positive")
-        for name, value in (("theta_star", theta), ("sigma2", sigma2), ("snr", snr)):
+        coeffs = min_coefficients(self.n, self.p, bc.order, bc.beta, bc.eps,
+                                  sigma2)
+        for name, value in (("theta_star", theta), ("sigma2", sigma2),
+                            ("snr", snr), ("_bounds", bc), ("_coeffs", coeffs),
+                            ("_model", GaussianLinearModel(theta, sigma2))):
             object.__setattr__(self, name, value)
 
     def bound_config(self) -> BoundConfig:
-        return BoundConfig(DivergenceOrder(self.lam), self.beta, self.eps, self.tau)
+        return self._bounds
 
     def build_model(self) -> GaussianLinearModel:
-        return GaussianLinearModel(self.theta_star, self.sigma2)
+        return self._model
 
-    def draw_problem(self, model: GaussianLinearModel,
-                     rng: np.random.Generator) -> LassoProblem:
-        """``n`` rows of ``model`` drawn from ``rng``, with the minimal penalty.
-
-        The coefficients are ``min_coefficients`` at this config's (lam,
-        beta, eps) and ``model.sigma2``. Every trial's problem is drawn here.
-        """
-        X = model.draw_features(rng, self.n)
-        Y = model.draw_response(rng, X)
-        coeffs = min_coefficients(self.n, self.p, DivergenceOrder(self.lam),
-                                  self.beta, self.eps, model.sigma2)
-        return LassoProblem(X, Y, model.sigma2, coeffs)
+    def draw_problem(self, rng: np.random.Generator) -> LassoProblem:
+        """``n`` rows of the config's model drawn from ``rng``, with its
+        minimal penalty. Every trial's problem is drawn here, and this is
+        a ``risk_bound_rhs`` problem generator as it stands."""
+        X = self._model.draw_features(rng, self.n)
+        Y = self._model.draw_response(rng, X)
+        return LassoProblem(X, Y, self.sigma2, self._coeffs)
 
 
 @dataclass(frozen=True)
@@ -164,13 +167,10 @@ class ExperimentSummary:
     typical_fraction: float
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int,
-              model: Optional[GaussianLinearModel] = None) -> TrialRecord:
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """One seeded trial; bit-identical for identical (cfg.seed, trial_index)."""
-    if model is None:
-        model = cfg.build_model()
-    bc = cfg.bound_config()
-    prob = cfg.draw_problem(model, substream(cfg.seed, trial_index))
+    model, bc = cfg.build_model(), cfg.bound_config()
+    prob = cfg.draw_problem(substream(cfg.seed, trial_index))
     report = solve(prob)
     cert = regret_certificate(prob, model, bc, theta_hat=report.theta_hat)
 
@@ -198,9 +198,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Experiment
     from the dominance and ratio aggregates. The trials run on
     ``pool.map_indices``; the records do not depend on it.
     """
-    model = cfg.build_model()
-    records = map_indices(lambda i: run_trial(cfg, i, model=model),
-                          cfg.num_trials)
+    records = map_indices(lambda i: run_trial(cfg, i), cfg.num_trials)
     good = [r for r in records if r.converged]
     dominated = sum(r.dominated for r in good)
     ratios = [r.regret_bound / r.two_hellinger_sq

@@ -357,8 +357,7 @@ def check_typical_set_column_decomposition():
 
 def _small_problem(rng, n=40, p=12, snr=2.0):
     cfg = sim.ExperimentConfig(n=n, p=p, seed=0, snr=snr, sparsity=4)
-    model = cfg.build_model()
-    return model, cfg.draw_problem(model, rng)
+    return cfg.build_model(), cfg.draw_problem(rng)
 
 
 def check_lasso_descent_and_kkt():
@@ -389,7 +388,7 @@ def check_lasso_orthonormal_closed_form():
 
 def check_lasso_paper_scale():
     cfg = sim.ExperimentConfig(n=200, p=1000, seed=0, snr=1.5)
-    prob = cfg.draw_problem(cfg.build_model(), substream(117))
+    prob = cfg.draw_problem(substream(117))
     report = lasso.solve(prob)
     assert report.converged and report.iterations <= 5000
     assert report.kkt_residual <= 1e-6

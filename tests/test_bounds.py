@@ -29,8 +29,7 @@ def small_instance(seed=0, n=40, p=8, snr=1.5, lam=0.5, beta=0.5, eps=0.5,
                    tau=0.03):
     cfg = ExperimentConfig(n=n, p=p, seed=seed, snr=snr, lam=lam, beta=beta,
                            eps=eps, tau=tau, sparsity=3)
-    model = cfg.build_model()
-    return model, cfg.draw_problem(model, substream(seed)), cfg.bound_config()
+    return cfg.build_model(), cfg.draw_problem(substream(seed)), cfg.bound_config()
 
 
 class TestBoundConfig:
@@ -134,6 +133,19 @@ class TestRegretCertificate:
         with pytest.raises(InvalidCertificateError, match="sigma2"):
             regret_certificate(prob, other, cfg, solve(prob).theta_hat)
 
+    def test_rejects_a_non_finite_main_term(self):
+        # ||Y||^2 overflows in both the objective and the baseline, and
+        # their difference is inf - inf
+        n, p, sigma2 = 20, 3, 1e307
+        model = GaussianLinearModel(np.zeros(p), sigma2)
+        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
+        coeffs = min_coefficients(n, p, cfg.order, cfg.beta, cfg.eps, sigma2)
+        X = np.random.default_rng(9).standard_normal((n, p))
+        prob = LassoProblem(X, np.full(n, 1e160), sigma2, coeffs)
+        with np.errstate(over="ignore"), pytest.raises(
+                InvalidCertificateError, match="^regret main term is nan: "):
+            regret_certificate(prob, model, cfg, np.zeros(p))
+
     def test_built_from_the_given_solution_only(self, monkeypatch):
         model, prob, cfg = small_instance(seed=8)
         theta_hat = solve(prob).theta_hat
@@ -226,12 +238,10 @@ class TestRiskBoundRhs:
 
     def test_rejects_sigma2_mismatch_on_an_accepted_draw(self):
         cfg = ExperimentConfig(n=50, p=100, seed=1, snr=2.0)
-        model = cfg.build_model()
-        other = GaussianLinearModel(model.theta_star, model.sigma2 * 2.0)
+        other = ExperimentConfig(n=50, p=100, seed=1, sigma2=cfg.sigma2 * 2.0)
         with pytest.raises(InvalidCertificateError, match="does not match"):
-            risk_bound_rhs(model, cfg.bound_config(),
-                           lambda rng: cfg.draw_problem(other, rng),
-                           num_mc=200, seed=cfg.seed)
+            risk_bound_rhs(cfg.build_model(), cfg.bound_config(),
+                           other.draw_problem, num_mc=200, seed=cfg.seed)
 
     def test_rejects_small_num_mc(self):
         model = GaussianLinearModel(np.zeros(2), 1.0)
@@ -291,12 +301,11 @@ class TestRiskBoundOnThePool:
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         cfg = ExperimentConfig(n=50, p=100, seed=1, snr=2.0)
         model = cfg.build_model()
-        other = GaussianLinearModel(model.theta_star, model.sigma2 * 2.0)
+        other = ExperimentConfig(n=50, p=100, seed=1, sigma2=cfg.sigma2 * 2.0)
         parent = os.getpid()
 
         def gen(rng):  # mismatched only in a worker
-            return cfg.draw_problem(model if os.getpid() == parent else other,
-                                    rng)
+            return (cfg if os.getpid() == parent else other).draw_problem(rng)
 
         with pytest.raises(InvalidCertificateError) as caught:
             risk_bound_rhs(model, cfg.bound_config(), gen, num_mc=200,

@@ -4,8 +4,11 @@ import argparse
 import csv
 import hashlib
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -20,7 +23,8 @@ from mdlasso.seeding import substream
 from mdlasso.sim import TrialRecord
 from mdlasso.typical_set import is_typical
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 MINIMAL = "n = 50\np = 20\nsnr = 1.5\nseed = 42\n"
 # a config whose trial 0 iterates (MINIMAL's returns 0 at once)
 ITERATING = "n = 60\np = 30\nsigma2 = 0.4\nseed = 3\neps = 0.9\ntau = 0.2\n"
@@ -160,6 +164,29 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command, seed", [("simulate", 1), ("bounds", 2)])
+    def test_overflowing_main_term_is_an_error(self, tmp_path, capsys,
+                                               command, seed):
+        # sigma2 = 1e307 is finite, but ||Y||^2 overflows on about half of
+        # the draws (trial 0 at seed 2), and the main term is then inf - inf.
+        # The overflows' numpy RuntimeWarnings precede the error line on a
+        # terminal; they are silenced here, also in pool workers.
+        text = f"n = 20\np = 5\nsigma2 = 1e307\nseed = {seed}\nnum_trials = 20\n"
+        out = tmp_path / "t.csv"
+        argv = [command, "--config", self.write_config(tmp_path, text)]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: regret main term is ")
+        assert err[0].endswith(" overflows")
+        assert not out.exists()
+
     def test_simulate_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out1 = tmp_path / "a.csv"
@@ -272,7 +299,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("noise", [
         "snr = inf", "sigma2 = inf", "snr = 1e-320", "sigma2 = 1e-320",
         "snr = 1\nmagnitude = nan", "sigma2 = 1\nmagnitude = nan",
-        "snr = 1\nmagnitude = 1e200", "sigma2 = 1\nmagnitude = 1e200"])
+        "snr = 1\nmagnitude = 1e200", "sigma2 = 1\nmagnitude = 1e200",
+        "sigma2 = 1e308"])  # n beta sigma2 (1 - eps) overflows: mu1 = 0
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
                                                  noise):
         cfg = self.write_config(tmp_path, f"n = 20\np = 5\nseed = 1\n{noise}\n")
@@ -437,3 +465,18 @@ def test_readme_cli_flags_match_parser():
                       for opt in action.option_strings} - {"-h", "--help"}
                for name, sub in subparsers.choices.items()}
     assert documented == defined
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["simulate"], 2)])
+def test_python_m_mdlasso(argv, code):
+    """``python -m mdlasso`` runs ``cli.main`` from a checkout with ``src``
+    on the path and exits with its code: the usage on stdout for
+    ``--help``, 2 for a missing required option."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "mdlasso", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    stream = done.stdout if code == 0 else done.stderr
+    assert stream.startswith("usage: mdlasso ")

@@ -90,8 +90,7 @@ def outputs(workdir):
         csv = fh.read()
     cfg = cli.parse_config(RISK_CONFIG)
     model = cfg.build_model()
-    est = risk_bound_rhs(model, cfg.bound_config(),
-                         lambda rng: cfg.draw_problem(model, rng),
+    est = risk_bound_rhs(model, cfg.bound_config(), cfg.draw_problem,
                          RISK_DRAWS, cfg.seed)
     return {"core": openblas_build()[0], "csv": csv,
             "bounds": stdout.getvalue()[mark:], "risk": est.value.hex()}

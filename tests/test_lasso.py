@@ -33,7 +33,7 @@ def snr_problem(seed, n, p, snr, sparsity=5):
     # k-sparse truth, sigma2 from the SNR, minimal penalty coefficients
     cfg = ExperimentConfig(n=n, p=p, seed=seed, snr=snr,
                            sparsity=min(sparsity, p))
-    return cfg.draw_problem(cfg.build_model(), np.random.default_rng(seed))
+    return cfg.draw_problem(np.random.default_rng(seed))
 
 
 def reference_lipschitz(prob):

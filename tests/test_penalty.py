@@ -50,6 +50,16 @@ class TestColumnMeanSquares:
         assert str(err.value) == ("column 2 of the design matrix is "
                                   "identically zero")
 
+    def test_names_an_underflowing_column(self):
+        # 1e-170 squared is below the smallest subnormal: the column is
+        # not zero, but its mean square is 0.0
+        X = np.ones((3, 4))
+        X[:, 2] = 1e-170
+        with pytest.raises(ValueError) as err:
+            column_mean_squares(X)
+        assert str(err.value) == ("column 2 of the design matrix has a "
+                                  "mean square that underflows to 0")
+
     @pytest.mark.parametrize("first,second", [(np.nan, 0.0), (0.0, np.inf)],
                              ids=["nan_then_zero", "zero_then_inf"])
     def test_names_the_first_bad_column(self, first, second):

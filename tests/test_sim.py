@@ -20,9 +20,11 @@ import numpy as np
 import pytest
 
 from mdlasso import pool, sim
+from mdlasso.bounds import risk_bound_rhs
 from mdlasso.cli import CONFIG_KEYS, emit_csv, main, parse_config
 from mdlasso.divergences import bhattacharyya, renyi_mc
 from mdlasso.errors import NumericalFailureError
+from mdlasso.lasso import LassoProblem
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            hessian_bound_gap, renyi_div, renyi_hess, tilted)
 from mdlasso.penalty import column_mean_squares, min_coefficients
@@ -107,11 +109,57 @@ class TestDrawProblem:
         bc = cfg.bound_config()
         coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps,
                                   model.sigma2)
-        prob = cfg.draw_problem(model, substream(cfg.seed, trial))
+        prob = cfg.draw_problem(substream(cfg.seed, trial))
         assert prob.X.tobytes() == X.tobytes()
         assert prob.Y.tobytes() == Y.tobytes()
         assert prob.coeffs == coeffs
         assert prob.sigma2 == model.sigma2
+
+
+class TestResolvedConfig:
+    def test_trials_construct_no_model(self, monkeypatch, tmp_path):
+        # counted through a file, so that pool workers' constructions count
+        log = tmp_path / "models"
+        log.write_text("")
+        real = GaussianLinearModel.__post_init__
+
+        def counted(self):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real(self)
+
+        monkeypatch.setattr(GaussianLinearModel, "__post_init__", counted)
+        cfg = parse_config(MIXED_DOC)
+        built = log.read_text()
+        run_experiment(cfg)
+        run_trial(cfg, 0)
+        assert log.read_text() == built  # no trial constructed one
+        assert len(built.split()) == 1  # the config's own
+
+    def test_one_model_and_bound_config_per_config(self):
+        cfg = parse_config(MIXED_DOC)
+        assert cfg.build_model() is cfg.build_model()
+        assert cfg.bound_config() is cfg.bound_config()
+        assert run_trial(cfg, 0).certificate.config is cfg.bound_config()
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_draw_problem_is_the_risk_generator(self, seed):
+        # the risk-mc benchmark's config and its generator as
+        # perfbench/child.py writes it out
+        cfg = ExperimentConfig(n=50, p=100, seed=seed, snr=2.0)
+        model, bc = cfg.build_model(), cfg.bound_config()
+        coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps,
+                                  model.sigma2)
+
+        def written_out(rng):
+            X = model.draw_features(rng, cfg.n)
+            Y = model.draw_response(rng, X)
+            return LassoProblem(X, Y, model.sigma2, coeffs)
+
+        ours = risk_bound_rhs(model, bc, cfg.draw_problem, 2000, cfg.seed)
+        theirs = risk_bound_rhs(model, bc, written_out, 2000, cfg.seed)
+        assert ours.value.hex() == theirs.value.hex()
+        assert ours.accepted == theirs.accepted
 
 
 class TestRunTrial:
@@ -119,7 +167,7 @@ class TestRunTrial:
         cfg = ExperimentConfig(n=40, p=15, seed=3, snr=1e-4, sparsity=5,
                                eps=0.9, tau=0.2)
         model = cfg.build_model()
-        rec = run_trial(cfg, 0, model=model)
+        rec = run_trial(cfg, 0)
         # with overwhelming noise the penalty dominates: theta_hat = 0 and
         # the divergence equals its closed form at the origin
         d_at_zero = bhattacharyya(model, np.zeros(cfg.p))
@@ -141,7 +189,7 @@ class TestRunTrial:
         model = cfg.build_model()
         order = DivergenceOrder(0.7)
         for i in range(4):
-            rec = run_trial(cfg, i, model=model)
+            rec = run_trial(cfg, i)
             d_lam = renyi_div(model, rec.report.theta_hat, order)
             assert d_lam > rec.d_bhatta
             assert rec.dominated == (rec.regret_bound >= d_lam)
@@ -155,7 +203,7 @@ class TestRunTrial:
             return dataclasses.replace(cert, bound=(d05 + d07) / 2.0)
 
         monkeypatch.setattr(sim, "regret_certificate", between)
-        rec = run_trial(cfg, 0, model=model)
+        rec = run_trial(cfg, 0)
         assert rec.d_bhatta < rec.regret_bound and not rec.dominated
 
     def test_record_carries_report_and_certificate(self):
@@ -174,8 +222,7 @@ class TestRunTrial:
         flags = [is_typical(column_mean_squares(X), None, cfg.eps)
                  for X in draws]
         assert True in flags and False in flags
-        assert [run_trial(cfg, i, model=model).typical
-                for i in range(12)] == flags
+        assert [run_trial(cfg, i).typical for i in range(12)] == flags
 
     def test_report_and_certificate_outside_equality(self):
         cfg = ExperimentConfig(seed=11, snr=1.5, num_trials=1, **SMALL)
@@ -306,10 +353,10 @@ class TestTrialPool:
         parent = os.getpid()
         real = sim.run_trial
 
-        def failing(cfg, trial_index, model=None):
+        def failing(cfg, trial_index):
             if trial_index == 9 and os.getpid() != parent:
                 raise NumericalFailureError("trial 9 failed in a worker")
-            return real(cfg, trial_index, model=model)
+            return real(cfg, trial_index)
 
         monkeypatch.setattr(sim, "run_trial", failing)  # inherited via fork
         with pytest.raises(NumericalFailureError, match="trial 9 failed"):
@@ -395,10 +442,10 @@ class TestTrialPool:
         assert_no_child_left()
         real = sim.run_trial
 
-        def failing(cfg, trial_index, model=None):
+        def failing(cfg, trial_index):
             if trial_index == 5 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(cfg, trial_index, model=model)
+            return real(cfg, trial_index)
 
         monkeypatch.setattr(sim, "run_trial", failing)
         doc = tmp_path / "run.cfg"
@@ -678,7 +725,7 @@ class TestIdentityCovariance:
         tracemalloc.start()
         try:
             model = cfg.build_model()
-            run_trial(cfg, 0, model=model)
+            run_trial(cfg, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
