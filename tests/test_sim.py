@@ -720,10 +720,10 @@ class TestTrialPool:
 
 class TestIdentityCovariance:
     def test_trial_path_allocates_no_p_by_p_array(self):
-        cfg = ExperimentConfig(n=20, p=1000, seed=3, snr=10.0, eps=0.9,
-                               tau=0.2)
         tracemalloc.start()
         try:
+            cfg = ExperimentConfig(n=20, p=1000, seed=3, snr=10.0, eps=0.9,
+                                   tau=0.2)
             model = cfg.build_model()
             run_trial(cfg, 0)
             peak = tracemalloc.get_traced_memory()[1]
