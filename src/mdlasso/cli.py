@@ -125,6 +125,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
+def _fmt_residual(x: float) -> str:
+    """A KKT residual to 3 digits: near the tolerance it is a difference of
+    terms of order 1, whose 10th digit moves with the BLAS kernel."""
+    return format(float(x), ".3g")
+
+
 def _write_csv(path: str, header: str, rows: list) -> None:
     """Write ``header`` and one comma-joined line per row, with LF endings."""
     if not rows:
@@ -158,7 +164,7 @@ def _cmd_simulate(args) -> int:
         if not r.converged:
             print(f"trial {r.trial_index} did not converge: "
                   f"{r.report.iterations} iterations, "
-                  f"kkt_residual {_fmt(r.report.kkt_residual)}",
+                  f"kkt_residual {_fmt_residual(r.report.kkt_residual)}",
                   file=sys.stderr)
     print(f"trials={summary.num_trials} converged={summary.num_converged} "
           f"dominated={summary.num_dominated} "
@@ -205,7 +211,7 @@ def _cmd_bounds(args) -> int:
         ("typical", str(rec.typical).lower()),
         ("solver_converged", str(report.converged).lower()),
         ("solver_iterations", report.iterations),
-        ("kkt_residual", report.kkt_residual),
+        ("kkt_residual", _fmt_residual(report.kkt_residual)),
     ]
     for key, val in items:
         print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")

@@ -106,7 +106,9 @@ def min_coefficients(n: int, p: int, order: DivergenceOrder, beta: float,
     InvalidOrderError
         If lam > 1 - beta (outside the admissible range of the bounds).
     ValueError
-        If n, p, beta, eps, or sigma2 are out of range.
+        If n, p, beta, eps, or sigma2 are out of range, sigma2 among them
+        when it is so large or so small for this n that mu1^2 rounds to 0
+        or overflows.
     """
     if n < 1 or p < 1:
         raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
@@ -121,6 +123,9 @@ def min_coefficients(n: int, p: int, order: DivergenceOrder, beta: float,
             f"order lam={order.lam} exceeds 1 - beta = {1.0 - beta}")
     mu1_sq = math.log(4.0 * p) / (n * beta * sigma2 * (1.0 - eps)) \
         * (order.lam + 8.0 * math.sqrt(1.0 - eps ** 2)) / 4.0
+    if not 0.0 < mu1_sq < math.inf:
+        raise ValueError(f"sigma2={sigma2} is out of range for n={n}: "
+                         f"mu1^2 = {mu1_sq}")
     return PenaltyCoefficients(math.sqrt(mu1_sq), math.log(2.0) / (n * beta))
 
 

@@ -13,7 +13,7 @@ writes every index once, as an 8-byte word, to a temporary file and rewinds
 it; the workers share that open file, and with it one file offset. Linux
 locks a shared regular file's offset for each read, so each worker's
 8-byte ``os.read`` claims the next whole word, and a worker on a busier CPU
-claims fewer (the README has the measurements). The file must be a regular
+claims fewer (CHANGES.md has the measurements). The file must be a regular
 one: a memfd's offset is not locked, and two workers were seen to claim one
 index. A worker sends back one pickled list of ``(index, value)`` pairs on
 a pipe of its own, and the caller takes the pipes in the order the workers

@@ -105,13 +105,14 @@ def check_matops_rayleigh():
 
 def check_model_monotone_in_order():
     rng = substream(104)
+    grid = np.arange(0.05, 0.96, 0.05)
     for _ in range(50):
         m = random_model(rng)
-        theta = m.theta_star + rng.standard_normal(m.dim)
-        grid = np.arange(0.05, 0.96, 0.05)
-        vals = [renyi_div(m, theta, DivergenceOrder(l)) for l in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[0] >= 0.0
+        for scale in (1.0, 0.1):
+            theta = m.theta_star + rng.standard_normal(m.dim) * scale
+            vals = [renyi_div(m, theta, DivergenceOrder(l)) for l in grid]
+            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+            assert min(vals) > 0.0  # theta is off the truth
 
 
 def check_model_gradient_fd():
@@ -362,8 +363,16 @@ def _small_problem(rng, n=40, p=12, snr=2.0):
 
 def check_lasso_descent_and_kkt():
     rng = substream(115)
-    for _ in range(20):
-        _, prob = _small_problem(rng)
+    probs = [_small_problem(rng)[1] for _ in range(20)]
+    for _ in range(10):
+        # p > n at a fixed small mu1: hundreds of iterations each
+        X = rng.standard_normal((30, 40))
+        theta_star = np.zeros(40)
+        theta_star[:5] = rng.standard_normal(5)
+        Y = X @ theta_star + rng.standard_normal(30)
+        probs.append(lasso.LassoProblem(
+            X, Y, 1.0, penalty.PenaltyCoefficients(0.05, 0.01)))
+    for prob in probs:
         report = lasso.solve(prob)
         assert report.converged
         diffs = np.diff(report.objective_trace)

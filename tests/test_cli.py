@@ -148,11 +148,9 @@ class TestSubcommands:
         assert main(["simulate", "--config", self.write_config(tmp_path, text),
                      "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert [line.split(":")[0] for line in lines] == [
-            "trial 0 did not converge", "trial 1 did not converge"]
-        assert all(": 10000 iterations, kkt_residual " in line
-                   for line in lines)
+        assert captured.err.splitlines() == [
+            "trial 0 did not converge: 10000 iterations, kkt_residual 2.99e-06",
+            "trial 1 did not converge: 10000 iterations, kkt_residual 2.27e-06"]
         assert captured.out.startswith("trials=2 converged=0 dominated=0 ")
         assert len(captured.out.splitlines()) == 2
         assert len(out.read_text().splitlines()) == 3
@@ -296,21 +294,30 @@ class TestSubcommands:
             capsys, ["simulate", "--config", cfg, "--out", str(out)], out)
         assert "Unable to allocate" in err
 
-    @pytest.mark.parametrize("noise", [
-        "snr = inf", "sigma2 = inf", "snr = 1e-320", "sigma2 = 1e-320",
-        "snr = 1\nmagnitude = nan", "sigma2 = 1\nmagnitude = nan",
-        "snr = 1\nmagnitude = 1e200", "sigma2 = 1\nmagnitude = 1e200",
-        "sigma2 = 1e308"])  # n beta sigma2 (1 - eps) overflows: mu1 = 0
+    @pytest.mark.parametrize("noise, cause", [
+        pytest.param(noise, cause, id=noise) for noise, cause in [
+        ("snr = inf", "must both be finite and positive"),
+        ("sigma2 = inf", "must both be finite and positive"),
+        ("snr = 1e-320", "must both be finite and positive"),
+        ("sigma2 = 1e-320", "must both be finite and positive"),
+        ("snr = 1\nmagnitude = nan", "magnitude must be finite"),
+        ("sigma2 = 1\nmagnitude = nan", "magnitude must be finite"),
+        ("snr = 1\nmagnitude = 1e200", "must both be finite and positive"),
+        ("sigma2 = 1\nmagnitude = 1e200", "must both be finite and positive"),
+        # n beta sigma2 (1 - eps) overflows: mu1^2 = 0
+        ("sigma2 = 1e308", "sigma2=1e+308 is out of range for n=20: "
+                           "mu1^2 = 0.0")]])
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
-                                                 noise):
+                                                 noise, cause):
         cfg = self.write_config(tmp_path, f"n = 20\np = 5\nseed = 1\n{noise}\n")
         out = tmp_path / "x.csv"
         # a numpy warning (an overflowing theta_star . theta_star) would add
         # stderr lines that capsys does not see, so it is raised here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.assert_config_error(
+            err = self.assert_config_error(
                 capsys, ["simulate", "--config", cfg, "--out", str(out)], out)
+        assert cause in err
 
     @pytest.mark.parametrize("p", [1, 5])
     def test_one_sample_designs_run_quietly(self, tmp_path, capsys, p):
@@ -388,7 +395,7 @@ def reference_bounds(args) -> int:
                                     bc.eps)).lower()),
         ("solver_converged", str(report.converged).lower()),
         ("solver_iterations", report.iterations),
-        ("kkt_residual", report.kkt_residual),
+        ("kkt_residual", format(report.kkt_residual, ".3g")),
     ]
     for key, val in items:
         print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")
@@ -422,7 +429,7 @@ class TestBoundsOracle:
         path.write_text(ITERATING)
         got = self.run(capsys, ["bounds", "--config", str(path)])
         assert hashlib.sha256(got.encode()).hexdigest() == (
-            "9a376dad81cdfc4165aea4685965f61e2e6b3350a91be00bd445eb20b3cdb968")
+            "dae055785eeed5764a90664fef8a2b9ea04a986324e4d6019a67e621092adc7f")
 
     @pytest.mark.parametrize("extra, seed, snr", [
         ([], 42, 1.5),

@@ -1,14 +1,14 @@
 """The determinism contract across OpenBLAS kernels.
 
-The same config and seed give the same trial CSV bytes, ``bounds`` stdout
-and ``risk_bound_rhs`` value whichever kernel OpenBLAS dispatches to. The
+The same config and seed give the same trial CSV bytes and ``bounds``
+stdout whichever kernel OpenBLAS dispatches to, and on this file's config
+the same ``risk_bound_rhs`` value; that value is not rounded, and on some
+other seeds its last bit moves with the kernel (see the README). The
 solution's own bits are not covered: they differ between kernels by about
-1e-16 relative, and the 10 printed digits round that away. Nor is the
-``kkt_residual`` line of ``bounds``: a residual near the 1e-6 tolerance is
-a difference of terms of order 1, so its 10th digit moves with the kernel
-(9.893265281e-07 by default and under Sandybridge, ...284e-07 under
-Haswell, on this file's config); it is compared to 1e-8 relative. The
-configs iterate ISTA (SNR 10), where the kernels' products differ.
+1e-16 relative, and the 10 printed digits round that away. ``bounds``
+prints its ``kkt_residual``, a difference of terms of order 1 near the 1e-6
+tolerance, to 3 digits for the same reason. The configs iterate ISTA
+(SNR 10), where the kernels' products differ.
 
 ``OPENBLAS_CORETYPE`` acts only on the process that loads the library, so
 each kernel runs this file as a script in a subprocess of its own, which
@@ -136,11 +136,7 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     for run in runs[1:]:
         assert run["csv"] == first["csv"], run["core"]
         assert run["risk"] == first["risk"], run["core"]
-        lines, want = (dict(line.split(" = ") for line in r["bounds"]
-                            .splitlines()) for r in (run, first))
-        assert float(lines.pop("kkt_residual")) == pytest.approx(
-            float(want.pop("kkt_residual")), rel=1e-8, abs=0.0)
-        assert lines == want, run["core"]
+        assert run["bounds"] == first["bounds"], run["core"]
 
 
 if __name__ == "__main__":

@@ -223,17 +223,6 @@ class TestSolve:
         brute = grid[int(np.argmin(vals))]
         assert abs(report.theta_hat[0] - brute) <= 1e-4
 
-    def test_monotone_descent(self):
-        rng = np.random.default_rng(54)
-        for _ in range(10):
-            X = rng.standard_normal((30, 40))
-            theta_star = np.zeros(40)
-            theta_star[:5] = rng.standard_normal(5)
-            Y = X @ theta_star + rng.standard_normal(30)
-            prob = LassoProblem(X, Y, 1.0, PenaltyCoefficients(0.05, 0.01))
-            report = solve(prob)
-            assert np.all(np.diff(report.objective_trace) <= 1e-12)
-
     def test_non_convergence_reported_not_raised(self):
         rng = np.random.default_rng(55)
         X = rng.standard_normal((30, 40))

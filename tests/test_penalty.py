@@ -131,6 +131,16 @@ class TestMinCoefficients:
             min_coefficients(kwargs.pop("n"), kwargs.pop("p"),
                              DivergenceOrder(0.4), **kwargs)
 
+    # n beta sigma2 (1 - eps) overflows, so mu1^2 is 0, or is so small
+    # that the quotient overflows, so mu1^2 is inf
+    @pytest.mark.parametrize("sigma2, mu1_sq", [(1e308, "0.0"),
+                                                (1e-320, "inf")])
+    def test_rejects_sigma2_out_of_range_for_n(self, sigma2, mu1_sq):
+        with pytest.raises(ValueError) as exc:
+            min_coefficients(20, 5, DivergenceOrder(0.5), 0.5, 0.5, sigma2)
+        assert str(exc.value) == (f"sigma2={sigma2} is out of range for "
+                                  f"n=20: mu1^2 = {mu1_sq}")
+
 
 class TestFixedDesignMu1:
     def test_worked_instance(self):

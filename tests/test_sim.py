@@ -20,11 +20,9 @@ import numpy as np
 import pytest
 
 from mdlasso import pool, sim
-from mdlasso.bounds import risk_bound_rhs
 from mdlasso.cli import CONFIG_KEYS, emit_csv, main, parse_config
 from mdlasso.divergences import bhattacharyya, renyi_mc
 from mdlasso.errors import NumericalFailureError
-from mdlasso.lasso import LassoProblem
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            hessian_bound_gap, renyi_div, renyi_hess, tilted)
 from mdlasso.penalty import column_mean_squares, min_coefficients
@@ -34,6 +32,8 @@ from mdlasso.seeding import substream
 from mdlasso.typical_set import is_typical
 
 SMALL = dict(n=50, p=20, eps=0.9, tau=0.2, sparsity=5)
+INLINE = dict(n=30, p=12, snr=1.5, lam=0.4, beta=0.55, eps=0.3, sparsity=4)
+RISK_MC = dict(n=50, p=100, snr=2.0)
 # trials 2, 7, 8, 10 and 11 return theta = 0 after 0 iterations, the rest iterate
 MIXED_DOC = ("n = 50\np = 20\neps = 0.9\ntau = 0.2\nsparsity = 5\n"
              "seed = 11\nsnr = 5\nnum_trials = 12\n")
@@ -96,12 +96,17 @@ class TestExperimentConfig:
 
 
 class TestDrawProblem:
-    @pytest.mark.parametrize("seed,trial", [(0, 0), (7, 3), (11, 12),
-                                            (2024, 99)])
-    def test_matches_the_inline_trial_draw(self, seed, trial):
-        # the draw run_trial made inline before draw_problem existed
-        cfg = ExperimentConfig(n=30, p=12, seed=seed, snr=1.5, lam=0.4,
-                               beta=0.55, eps=0.3, sparsity=4)
+    @pytest.mark.parametrize("kwargs,seed,trial", [
+        pytest.param(INLINE, seed, trial, id=f"{seed}-{trial}")
+        for seed, trial in [(0, 0), (7, 3), (11, 12), (2024, 99)]] + [
+        # the risk-mc benchmark's config: risk_bound_rhs sees its generator
+        # only through these problems, so its estimate is bit-equal too
+        pytest.param(RISK_MC, seed, draw, id=f"risk-mc-{seed}-{draw}")
+        for seed in (5, 17) for draw in (0, 1999)])
+    def test_matches_the_inline_trial_draw(self, kwargs, seed, trial):
+        # the draw run_trial made inline before draw_problem existed, as
+        # perfbench/child.py still writes it out
+        cfg = ExperimentConfig(seed=seed, **kwargs)
         model = cfg.build_model()
         rng = substream(cfg.seed, trial)
         X = model.draw_features(rng, cfg.n)
@@ -141,25 +146,6 @@ class TestResolvedConfig:
         assert cfg.build_model() is cfg.build_model()
         assert cfg.bound_config() is cfg.bound_config()
         assert run_trial(cfg, 0).certificate.config is cfg.bound_config()
-
-    @pytest.mark.parametrize("seed", [5, 17])
-    def test_draw_problem_is_the_risk_generator(self, seed):
-        # the risk-mc benchmark's config and its generator as
-        # perfbench/child.py writes it out
-        cfg = ExperimentConfig(n=50, p=100, seed=seed, snr=2.0)
-        model, bc = cfg.build_model(), cfg.bound_config()
-        coeffs = min_coefficients(cfg.n, cfg.p, bc.order, bc.beta, bc.eps,
-                                  model.sigma2)
-
-        def written_out(rng):
-            X = model.draw_features(rng, cfg.n)
-            Y = model.draw_response(rng, X)
-            return LassoProblem(X, Y, model.sigma2, coeffs)
-
-        ours = risk_bound_rhs(model, bc, cfg.draw_problem, 2000, cfg.seed)
-        theirs = risk_bound_rhs(model, bc, written_out, 2000, cfg.seed)
-        assert ours.value.hex() == theirs.value.hex()
-        assert ours.accepted == theirs.accepted
 
 
 class TestRunTrial:
@@ -661,8 +647,9 @@ class TestTrialPool:
 
     @pytest.mark.parametrize("workers", ["two", "oversubscribed"])
     def test_queue_longer_than_a_pipe_buffer(self, monkeypatch, workers):
-        # 160 KB of index words, more than a pipe buffer holds: workers
-        # racing on the shared file offset must claim each word whole, once
+        # 20 000 index words (160 KB) in the shared temporary file, more
+        # than the 64 KB pipe the queue once was: workers racing on the
+        # file's one offset must claim each 8-byte word whole, once
         cpus(monkeypatch, 2 if workers == "two"
              else 2 * len(os.sched_getaffinity(0)) + 1)
         with deadline(60):
