@@ -126,8 +126,9 @@ def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
     objective(theta_hat) - ||Y - X theta_star||^2 / (2 n sigma2) + mu2.
     """
     theta_star = np.asarray(theta_star, dtype=np.float64).reshape(-1)
-    resid_star = prob.Y - prob.X @ theta_star
-    baseline = float(resid_star @ resid_star) / (2.0 * prob.n * prob.sigma2)
+    with np.errstate(over="ignore"):  # regret_certificate refuses an inf
+        resid_star = prob.Y - prob.X @ theta_star
+        baseline = float(resid_star @ resid_star) / (2.0 * prob.n * prob.sigma2)
     return objective(prob, theta_hat) - baseline + prob.coeffs.mu2
 
 

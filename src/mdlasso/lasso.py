@@ -113,10 +113,11 @@ def objective(prob: LassoProblem, theta: np.ndarray) -> float:
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape[0] != prob.p:
         raise ValueError(f"theta has {theta.shape[0]} entries, expected {prob.p}")
-    if not np.count_nonzero(theta):
-        return float(prob.Y @ prob.Y) / (2.0 * prob.n * prob.sigma2)
-    resid = prob.Y - prob.X @ theta
-    fit = float(resid @ resid) / (2.0 * prob.n * prob.sigma2)
+    with np.errstate(over="ignore"):  # an overflow returns inf, unwarned
+        if not np.count_nonzero(theta):
+            return float(prob.Y @ prob.Y) / (2.0 * prob.n * prob.sigma2)
+        resid = prob.Y - prob.X @ theta
+        fit = float(resid @ resid) / (2.0 * prob.n * prob.sigma2)
     return fit + prob.coeffs.mu1 * weighted_l1(theta, prob.w)
 
 
@@ -210,31 +211,34 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     iterations = 0
     # Each expression keeps its association order, e.g. (step * mu1) * w:
     # the iterates are pinned bit for bit (TestFastPathOracle).
-    while True:
-        dot(XT, resid, out=g)
-        np.divide(g, -scale, out=g)  # -(X^T resid) / scale, to the bit
-        kkt = _kkt(theta, g, kkt_level, work)
-        if iterations == max_iter:
-            break
-        np.multiply(w, mag, out=work)
-        trace.append(float(resid @ resid) / (2.0 * scale)
-                     + mu1 * float(work.sum()))
-        if kkt <= tol:
-            break
-        if step is None:
-            step = 1.0 / (_lipschitz(prob) * (1.0 + _STEP_HEADROOM))
-            level = step * mu1 * w
-        # theta <- sign(x) * max(|x| - level, 0) at x = theta - step * g
-        np.multiply(g, step, out=work)
-        np.subtract(theta, work, out=work)
-        np.abs(work, out=mag)
-        np.subtract(mag, level, out=mag)
-        np.maximum(mag, 0.0, out=mag)
-        np.sign(work, out=work)
-        np.multiply(work, mag, out=theta)
-        iterations += 1
-        dot(X, theta, out=fit)
-        resid = np.subtract(Y, fit, out=fit)
+    # ||resid||^2 may overflow to inf (sigma2 near the float64 maximum); the
+    # trace then carries it, and regret_certificate refuses the main term
+    with np.errstate(over="ignore"):
+        while True:
+            dot(XT, resid, out=g)
+            np.divide(g, -scale, out=g)  # -(X^T resid) / scale, to the bit
+            kkt = _kkt(theta, g, kkt_level, work)
+            if iterations == max_iter:
+                break
+            np.multiply(w, mag, out=work)
+            trace.append(float(resid @ resid) / (2.0 * scale)
+                         + mu1 * float(work.sum()))
+            if kkt <= tol:
+                break
+            if step is None:
+                step = 1.0 / (_lipschitz(prob) * (1.0 + _STEP_HEADROOM))
+                level = step * mu1 * w
+            # theta <- sign(x) * max(|x| - level, 0) at x = theta - step * g
+            np.multiply(g, step, out=work)
+            np.subtract(theta, work, out=work)
+            np.abs(work, out=mag)
+            np.subtract(mag, level, out=mag)
+            np.maximum(mag, 0.0, out=mag)
+            np.sign(work, out=work)
+            np.multiply(work, mag, out=theta)
+            iterations += 1
+            dot(X, theta, out=fit)
+            resid = np.subtract(Y, fit, out=fit)
     obj = objective(prob, theta)
     trace.append(obj)
     return SolveReport(

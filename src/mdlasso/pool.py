@@ -62,17 +62,22 @@ def usable_cpus() -> int:
 
 
 def _worker_count(count: int) -> int:
-    """CPUs this process may run on, capped at ``count``; 1 without fork,
+    """How many workers ``map_indices`` forks, 1 meaning it maps in-process:
+    the CPUs this process may run on, capped at ``count``; 1 without fork,
     with other Python threads (a lock one holds stays held in the child),
-    and in a worker of this pool or a daemonic ``multiprocessing`` one: a
-    pool in each worker of another multiplies the processes."""
+    in a worker of this pool or a daemonic ``multiprocessing`` one (a pool
+    in each worker of another multiplies the processes), and when no
+    OpenBLAS is found whose thread count could be set."""
     mp = sys.modules.get("multiprocessing")
     if (_in_worker
             or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
             or threading.active_count() > 1
             or (mp is not None and mp.current_process().daemon)):
         return 1
-    return min(usable_cpus(), count)
+    workers = min(usable_cpus(), count)
+    if workers == 1 or _blas_thread_setter() is None:
+        return 1
+    return workers
 
 
 # OpenBLAS's thread-count setter under the names its builds export
@@ -149,7 +154,7 @@ def map_indices(fn: Callable[[int], T], count: int) -> list[T]:
     """``[fn(0), ..., fn(count - 1)]``, on the pool the module docstring
     describes."""
     workers = _worker_count(count)
-    if workers == 1 or _blas_thread_setter() is None:
+    if workers == 1:
         return [fn(i) for i in range(count)]
     cpus = sorted(os.sched_getaffinity(0))
     pairs, fds = [], []  # the (index, value) pairs back; the pipe ends open

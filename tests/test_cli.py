@@ -166,16 +166,15 @@ class TestSubcommands:
     def test_overflowing_main_term_is_an_error(self, tmp_path, capsys,
                                                command, seed):
         # sigma2 = 1e307 is finite, but ||Y||^2 overflows on about half of
-        # the draws (trial 0 at seed 2), and the main term is then inf - inf.
-        # The overflows' numpy RuntimeWarnings precede the error line on a
-        # terminal; they are silenced here, also in pool workers.
+        # the draws (trial 0 at seed 2), and the main term is then inf - inf;
+        # warnings, also those of pool workers, are raised as errors here
         text = f"n = 20\np = 5\nsigma2 = 1e307\nseed = {seed}\nnum_trials = 20\n"
         out = tmp_path / "t.csv"
         argv = [command, "--config", self.write_config(tmp_path, text)]
         if command == "simulate":
             argv += ["--out", str(out)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -193,7 +192,7 @@ class TestSubcommands:
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_simulate_seed_flag_wins(self, tmp_path):
+    def test_simulate_set_seed_changes_csv(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -210,7 +209,7 @@ class TestSubcommands:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
-    def test_env_seed_fallback(self, tmp_path, capsys):
+    def test_missing_seed_is_config_error(self, tmp_path, capsys):
         # a seed comes from the file or --set seed=N, and from nowhere else
         text = "n = 50\np = 20\nsnr = 1.5\nnum_trials = 2\neps = 0.9\ntau = 0.2\nsparsity = 5\n"
         cfg = self.write_config(tmp_path, text)
@@ -474,16 +473,33 @@ def test_readme_cli_flags_match_parser():
     assert documented == defined
 
 
+def python_m_mdlasso(*argv):
+    """``python -m mdlasso *argv`` from this checkout, ``src`` on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mdlasso", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["simulate"], 2)])
 def test_python_m_mdlasso(argv, code):
     """``python -m mdlasso`` runs ``cli.main`` from a checkout with ``src``
     on the path and exits with its code: the usage on stdout for
     ``--help``, 2 for a missing required option."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "mdlasso", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = python_m_mdlasso(*argv)
     assert done.returncode == code
     stream = done.stdout if code == 0 else done.stderr
     assert stream.startswith("usage: mdlasso ")
+
+
+def test_python_m_mdlasso_overflow_is_one_error_line(tmp_path):
+    """At sigma2 = 1e307, ||Y||^2 overflows: ``simulate`` exits 1 with its
+    one ``error:`` line on stderr, and no numpy warning before it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 20\np = 5\nsigma2 = 1e307\nseed = 1\n")
+    done = python_m_mdlasso("simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "t.csv"))
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: regret main term is ")
