@@ -6,9 +6,8 @@ from .bounds import (BoundConfig, ProbCurvePoint, RegretCertificate,
 from .divergences import (AlphaOrder, McEstimate, bhattacharyya, hellinger_sq,
                           renyi_mc)
 from .lasso import LassoProblem, SolveReport, objective, solve
-from .matops import min_eigenvalue, sqrt_sym
 from .model import (DivergenceOrder, GaussianLinearModel, displacement_energy,
-                    renyi_div)
+                    min_eigenvalue, renyi_div, sqrt_sym)
 from .penalty import PenaltyCoefficients, min_coefficients, weighted_l1
 from .sim import (ExperimentConfig, ExperimentSummary, TrialRecord,
                   default_theta_star, run_experiment, run_trial)

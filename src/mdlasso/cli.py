@@ -20,8 +20,9 @@ at most p, lambda <= 1 - beta, exactly one of snr and sigma2) is checked on
 the whole config and rejected without one. Command-line ``--set key=value``
 overrides take precedence over file values, the seed's as any other's.
 
-Exit codes: 0 success, 1 invariant/acceptance failure, 2 usage/config error,
-which includes an unreadable config file and a size too large to allocate.
+Exit codes: 0 success; 1 invariant/acceptance failure, numerical error
+(``error: …``) or i/o error (``i/o error: …``); 2 usage/config error, which
+includes an unreadable config file and a size too large to allocate.
 """
 
 import argparse
@@ -178,8 +179,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_prob_curve(args) -> int:
     if args.steps < 2:
         raise ConfigError("--steps must be >= 2")
-    if not args.eps_min < args.eps_max:
-        raise ConfigError("need eps-min < eps-max")
+    if not 0.0 < args.eps_min < args.eps_max < 1.0:
+        raise ConfigError(f"need 0 < --eps-min < --eps-max < 1, got "
+                          f"--eps-min {args.eps_min}, --eps-max {args.eps_max}")
     grid = np.linspace(args.eps_min, args.eps_max, args.steps)
     try:
         points = [probability_floor(args.n, args.p, float(eps), args.tau,

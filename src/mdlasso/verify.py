@@ -15,9 +15,10 @@ import math
 
 import numpy as np
 
-from . import bounds, divergences, lasso, matops, penalty, sim, typical_set
+from . import bounds, divergences, lasso, penalty, sim, typical_set
 from .model import (DivergenceOrder, GaussianLinearModel, hessian_bound_gap,
-                    renyi_div, renyi_grad, renyi_hess, tilted)
+                    min_eigenvalue, renyi_div, renyi_grad, renyi_hess,
+                    sqrt_sym, tilted)
 from .seeding import substream
 
 
@@ -84,20 +85,21 @@ def log_gamma_tails(n, eps):
     return _log_sum_exp(up), _log_sum_exp(lo)
 
 
-def check_matops_sqrt_roundtrip():
+def check_model_sqrt_roundtrip():
     rng = substream(101)
     for _ in range(100):
         S = random_spd(rng, int(rng.integers(1, 9)))
-        R = matops.sqrt_sym(S)
+        R = sqrt_sym(S)
         err = np.linalg.norm(R @ R - S) / np.linalg.norm(S)
         assert err <= 1e-10, f"reconstruction error {err:.3e}"
-        assert matops.min_eigenvalue(R) > 0.0
+        assert np.array_equal(R, R.T)
+        assert min_eigenvalue(R) > 0.0
 
 
-def check_matops_rayleigh():
+def check_model_rayleigh():
     rng = substream(103)
     S = random_spd(rng, 6) - 3.0 * np.eye(6)
-    lo = matops.min_eigenvalue(S)
+    lo = min_eigenvalue(S)
     for _ in range(20):
         v = rng.standard_normal(6)
         assert lo <= (v @ S @ v) / (v @ v) + 1e-9
@@ -237,7 +239,9 @@ def check_divergences_alpha_properties():
         d0 = divergences.alpha_div(m, theta, divergences.AlphaOrder(0.0))
         assert abs(d0 - 2.0 * h2) <= 1e-12 * max(1.0, 2.0 * h2), \
             f"alpha=0 gives {d0!r}, twice Hellinger {2.0 * h2!r}"
-        assert h2 <= divergences.bhattacharyya(m, theta) + 1e-12
+        bhatta = divergences.bhattacharyya(m, theta)
+        assert h2 <= bhatta + 1e-12
+        assert bhatta == renyi_div(m, theta, DivergenceOrder(0.5))
 
 
 def check_penalty_kraft():
@@ -479,8 +483,8 @@ def check_sim_dominance_floor():
 
 
 CHECKS = [
-    ("matops.sqrt_roundtrip", check_matops_sqrt_roundtrip),
-    ("matops.rayleigh_bound", check_matops_rayleigh),
+    ("model.sqrt_roundtrip", check_model_sqrt_roundtrip),
+    ("model.rayleigh_bound", check_model_rayleigh),
     ("model.order_monotonicity", check_model_monotone_in_order),
     ("model.gradient_fd", check_model_gradient_fd),
     ("model.hessian_fd", check_model_hessian_fd),

@@ -334,7 +334,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tau", "-1"), ("--tau", "nan"), ("--n", "0"), ("--beta", "1.5"),
-        ("--eps-min", "0"), ("--eps-max", "1"),
+        ("--eps-min", "0"), ("--eps-max", "1"), ("--eps-max", "inf"),
         ("--steps", "1000000000000000")])  # past the address space
     def test_prob_curve_range_errors(self, tmp_path, capsys, flag, value):
         args = {"--n": "50", "--p": "20", "--tau": "0.2", "--beta": "0.5",
@@ -344,7 +344,12 @@ class TestSubcommands:
         argv = ["prob-curve", "--out", str(out)]
         for key, val in args.items():
             argv += [key, val]
-        self.assert_config_error(capsys, argv, out)
+        # a numpy warning (an infinite grid end) would add stderr lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.assert_config_error(capsys, argv, out)
+        if flag.startswith("--eps"):
+            assert "--eps-max" in err
 
     def test_verify_wiring(self, capsys, monkeypatch):
         def passes():

@@ -19,7 +19,7 @@ from mdlasso.divergences import (AlphaOrder, alpha_div, bhattacharyya,
 from mdlasso.errors import InvalidOrderError
 from mdlasso.model import DivergenceOrder, GaussianLinearModel, renyi_div
 from mdlasso.seeding import chunk_stream
-from mdlasso.verify import random_model, random_spd
+from mdlasso.verify import random_spd
 
 
 def mc_integrand_mean(model, theta, transform, num, seed):
@@ -191,14 +191,6 @@ class TestBhattacharyya:
         m = GaussianLinearModel(np.zeros(2), 1.0, np.eye(2))
         assert bhattacharyya(m, np.array([2.0, 0.0])) == pytest.approx(
             math.log(2.0), rel=1e-14)
-
-    def test_alias_of_half_order(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            m = random_model(rng)
-            theta = m.theta_star + rng.standard_normal(m.dim)
-            assert bhattacharyya(m, theta) == renyi_div(m, theta,
-                                                        DivergenceOrder(0.5))
 
 
 class TestHellingerSq:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mdlasso import lasso
+from mdlasso.bounds import regret_certificate
 from mdlasso.lasso import (LassoProblem, kkt_residual, objective,
                            soft_threshold, solve)
 from mdlasso.penalty import PenaltyCoefficients
@@ -248,6 +249,28 @@ class TestSolve:
                        tol=1e-10)
         np.testing.assert_allclose(scaled.theta_hat, c * base.theta_hat,
                                    atol=1e-7)
+
+    @pytest.mark.parametrize("snr", [0.5, 10.0])
+    def test_duplicate_columns(self, snr):
+        # columns 0 and 1 copied into 5 and 6 before the response is drawn:
+        # ISTA from 0 moves each copy as its original (the zero exit at SNR
+        # 0.5), and the certificate does not need distinct columns
+        cfg = ExperimentConfig(n=60, p=20, seed=2, snr=snr)
+        model, rng = cfg.build_model(), np.random.default_rng(2)
+        drawn = cfg.draw_problem(rng)
+        X = drawn.X.copy()
+        X[:, [5, 6]] = X[:, [0, 1]]
+        prob = LassoProblem(X, model.draw_response(rng, X), drawn.sigma2,
+                            drawn.coeffs)
+        report = solve(prob)
+        assert report.converged and kkt_residual(prob, report.theta_hat) <= 1e-6
+        assert np.all(np.diff(report.objective_trace) <= 1e-12)
+        theta = report.theta_hat
+        assert np.all(theta[[0, 1]] != 0.0) == (snr > 1.0)
+        for col, copy in ((0, 5), (1, 6)):
+            assert abs(theta[col] - theta[copy]) <= 1e-12 * abs(theta[col])
+        cert = regret_certificate(prob, model, cfg.bound_config(), theta)
+        assert math.isfinite(cert.bound)
 
     def test_rejects_bad_tol(self):
         prob = scalar_problem()

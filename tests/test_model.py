@@ -1,8 +1,9 @@
 """Model and divergence-calculus tests.
 
-Worked values, the exact boundary case of the Hessian domination, and input
-validation. The randomized sweeps (finite differences, the rank-one tilted
-covariance, the domination gap) are checks in ``mdlasso.verify``.
+Worked values, the exact boundary case of the Hessian domination, the
+covariance algebra, and input validation. The randomized sweeps (the square
+root's round trip, finite differences, the rank-one tilted covariance, the
+domination gap) are checks in ``mdlasso.verify``.
 """
 
 import math
@@ -10,11 +11,55 @@ import math
 import numpy as np
 import pytest
 
-from mdlasso.errors import InvalidOrderError
+from mdlasso.errors import InvalidOrderError, SingularMatrixError
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
-                           displacement_energy, hessian_bound_gap, renyi_div,
-                           renyi_grad, renyi_hess, tilt_scale, tilted)
+                           displacement_energy, hessian_bound_gap,
+                           min_eigenvalue, renyi_div, renyi_grad, renyi_hess,
+                           sqrt_sym, tilt_scale, tilted)
 from mdlasso.verify import fd_renyi, random_model
+
+
+class TestSqrtSym:
+    def test_identity(self):
+        np.testing.assert_allclose(sqrt_sym(np.eye(3)), np.eye(3), atol=1e-14)
+
+    def test_diagonal(self):
+        np.testing.assert_allclose(sqrt_sym(np.diag([4.0, 9.0])),
+                                   np.diag([2.0, 3.0]), atol=1e-13)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            sqrt_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_near_singular(self):
+        S = np.diag([1.0, 1e-15])
+        with pytest.raises(SingularMatrixError):
+            sqrt_sym(S)
+
+    def test_rejects_negative_definite(self):
+        with pytest.raises(SingularMatrixError):
+            sqrt_sym(-np.eye(2))
+
+
+class TestMinEigenvalue:
+    def test_diagonal(self):
+        assert min_eigenvalue(np.diag([3.0, -1.0])) == pytest.approx(-1.0)
+
+    def test_identity(self):
+        assert min_eigenvalue(np.eye(5)) == pytest.approx(1.0)
+
+    def test_against_full_eigendecomposition(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 6))
+        S = (A + A.T) / 2
+        # oracle: full eigendecomposition
+        want = float(np.min(np.linalg.eigvals(S).real))
+        spectral = float(np.max(np.abs(np.linalg.eigvals(S))))
+        assert abs(min_eigenvalue(S) - want) <= 1e-9 * spectral
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestDivergenceOrder:
@@ -39,6 +84,13 @@ class TestModelConstruction:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             GaussianLinearModel(np.zeros(3), 1.0, np.eye(2))
+
+    def test_covariance_at_the_singularity_clamp(self):
+        # singular means an eigenvalue at or below 1e-12 times the largest
+        m = GaussianLinearModel(np.ones(2), 1.0, np.diag([1.0, 2e-12]))
+        assert np.isfinite(m.draw_features(np.random.default_rng(4), 10)).all()
+        with pytest.raises(SingularMatrixError):
+            GaussianLinearModel(np.ones(2), 1.0, np.diag([1.0, 1e-12]))
 
     def test_sqrt_cov_cached(self):
         rng = np.random.default_rng(0)
@@ -95,6 +147,7 @@ class TestIdentityCovariance:
         m = GaussianLinearModel(theta_star, 0.7)
         order = DivergenceOrder(0.5)
         eye = np.eye(p)
+        explicit = GaussianLinearModel(theta_star, 0.7, eye)
         for _ in range(5):
             x = rng.standard_normal(p)
             theta = np.sign(x) * np.maximum(np.abs(x) - 0.8, 0.0)
@@ -110,6 +163,12 @@ class TestIdentityCovariance:
             assert np.array_equal(tq.displacement, u)
             want_cov = eye - np.outer(u, u) / (c + t)
             assert np.array_equal(tq.covariance, want_cov)
+            assert np.array_equal(tq.covariance,
+                                  tilted(explicit, theta, order).covariance)
+            assert np.array_equal(renyi_hess(m, theta, order),
+                                  renyi_hess(explicit, theta, order))
+            assert hessian_bound_gap(m, theta, order) \
+                == hessian_bound_gap(explicit, theta, order)
 
 
 class TestTilted:

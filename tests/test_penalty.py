@@ -191,9 +191,6 @@ class TestGridCodelength:
 
 
 class TestKraftSum:
-    def test_p_one_exact(self):
-        assert abs(kraft_sum(1) - 5.0 / 6.0) < 1e-15
-
     def test_p_1000(self):
         # frozen closed-form evaluation
         assert kraft_sum(1000) == pytest.approx(0.8243606439371545, rel=1e-12)

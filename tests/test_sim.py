@@ -11,8 +11,7 @@ import pytest
 from mdlasso import sim
 from mdlasso.cli import CONFIG_KEYS, parse_config
 from mdlasso.divergences import bhattacharyya
-from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
-                           hessian_bound_gap, renyi_div, renyi_hess, tilted)
+from mdlasso.model import DivergenceOrder, GaussianLinearModel, renyi_div
 from mdlasso.penalty import column_mean_squares, min_coefficients
 from mdlasso.sim import (ExperimentConfig, default_theta_star, run_experiment,
                          run_trial)
@@ -237,16 +236,3 @@ class TestIdentityCovariance:
             tracemalloc.stop()
         assert model.cov is None
         assert peak < 8 * cfg.p * cfg.p / 4  # a quarter of one p x p array
-
-    def test_matrix_results_match_an_explicit_identity(self):
-        theta_star = np.array([1.0, -2.0, 0.5])
-        implicit = GaussianLinearModel(theta_star, 0.7)
-        explicit = GaussianLinearModel(theta_star, 0.7, np.eye(3))
-        theta = np.array([0.3, 0.0, -1.0])
-        order = DivergenceOrder(0.4)
-        assert np.array_equal(tilted(implicit, theta, order).covariance,
-                              tilted(explicit, theta, order).covariance)
-        assert np.array_equal(renyi_hess(implicit, theta, order),
-                              renyi_hess(explicit, theta, order))
-        assert hessian_bound_gap(implicit, theta, order) \
-            == hessian_bound_gap(explicit, theta, order)
