@@ -78,7 +78,11 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
 
     Draws (x, y) from the true joint law and estimates
     -log(mean[(p_theta/p_true)^(1-lam)]) / (1-lam). The standard error is
-    propagated through the log by the delta method.
+    propagated through the log by the delta method. It rests on a finite
+    variance of the averaged ratio power, which holds at every order
+    lam >= 1/2 but at lam < 1/2 only for displacement energy
+    t < sigma2 / (2 (1 - lam) (1 - 2 lam)); beyond that the central limit
+    fails and the standard error is not calibrated.
 
     The features are not drawn. The log-ratio of a sample depends on x only
     through the fit gap d = x^T delta, delta = theta - theta_star, and for

@@ -36,12 +36,15 @@ def check_symmetric(S: np.ndarray, name: str = "matrix") -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``S`` is not square or deviates from its transpose by more than
-        ``SYMMETRY_RTOL`` relative to its largest entry.
+        If ``S`` is not square, has a NaN or infinite entry, or deviates
+        from its transpose by more than ``SYMMETRY_RTOL`` relative to its
+        largest entry.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {S.shape}")
+    if not np.isfinite(S).all():
+        raise ValueError(f"{name} must be finite")
     scale = float(np.max(np.abs(S))) if S.size else 0.0
     dev = float(np.max(np.abs(S - S.T))) if S.size else 0.0
     if dev > SYMMETRY_RTOL * max(scale, 1e-300):

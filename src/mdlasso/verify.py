@@ -209,17 +209,46 @@ def check_model_draw_law():
 
 
 def check_divergences_mc_agreement():
+    """Criterion 4: ``renyi_mc`` agrees with ``renyi_div`` within 3 SE.
+
+    The 3-SE test needs the sampled ratio power to have a finite variance:
+    at every order >= 1/2, and at order lam < 1/2 only for displacement
+    energy t < sigma2 / (2 (1 - lam) (1 - 2 lam)), 4 sigma2 / 3 at 0.25.
+    Every instance here respects that. The sweep draws 100 models with
+    t <= sigma2 and runs orders 0.25, 0.5 and 0.9 on each at 1e5 samples;
+    at least 99 instances must agree at every order. Thirteen more
+    instances at orders 0.5 and 0.9 reach t of about 24 sigma2, and all of
+    them must agree.
+    """
+    rng = substream(404)
+    orders = [DivergenceOrder(lam) for lam in (0.25, 0.5, 0.9)]
+    passed = 0
+    for i in range(100):
+        m = random_model(rng)
+        direction = rng.standard_normal(m.dim)
+        direction /= math.sqrt(direction @ (m.cov @ direction))
+        theta = m.theta_star + direction * math.sqrt(
+            float(rng.uniform(0.05, 1.0)) * m.sigma2)
+        agree = True
+        for j, order in enumerate(orders):
+            est = divergences.renyi_mc(m, theta, order, 100_000,
+                                       seed=40_000 + 3 * i + j)
+            if abs(est.value - renyi_div(m, theta, order)) > 3 * est.std_error:
+                agree = False
+        passed += agree
+    assert passed >= 99, f"{passed}/100 instances within 3 SE (need >= 99)"
+
     rng = substream(110)
-    bad = 0
     for i in range(20):
         m = random_model(rng)
         theta = m.theta_star + rng.standard_normal(m.dim) * 0.7
-        lam = [0.25, 0.5, 0.9][i % 3]
-        order = DivergenceOrder(lam)
+        if i % 3 == 0:
+            continue
+        order = DivergenceOrder(0.5 if i % 3 == 1 else 0.9)
         est = divergences.renyi_mc(m, theta, order, 100_000, seed=7000 + i)
-        if abs(est.value - renyi_div(m, theta, order)) > 3 * est.std_error:
-            bad += 1
-    assert bad <= 1, f"{bad}/20 MC runs outside 3 SE"
+        gap = abs(est.value - renyi_div(m, theta, order))
+        assert gap <= 3 * est.std_error, \
+            f"instance {i}, order {order.lam}: {gap:.3e} > 3 SE"
 
 
 def check_divergences_alpha_properties():

@@ -7,10 +7,12 @@ domination gap) are checks in ``mdlasso.verify``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from mdlasso.divergences import renyi_mc
 from mdlasso.errors import InvalidOrderError, SingularMatrixError
 from mdlasso.model import (DivergenceOrder, GaussianLinearModel,
                            displacement_energy, hessian_bound_gap,
@@ -80,6 +82,19 @@ class TestModelConstruction:
     def test_rejects_non_finite(self, theta_star, sigma2):
         with pytest.raises(ValueError, match="finite"):
             GaussianLinearModel(np.array(theta_star), sigma2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_covariance(self, bad):
+        cov = np.array([[1.0, bad], [bad, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="feature covariance must be finite"):
+                GaussianLinearModel(np.ones(2), 1.0, cov)
+            with pytest.raises(ValueError, match="sqrt_sym input must be"):
+                sqrt_sym(cov)
+            with pytest.raises(ValueError, match="min_eigenvalue input must"):
+                min_eigenvalue(cov)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -169,6 +184,9 @@ class TestIdentityCovariance:
                                   renyi_hess(explicit, theta, order))
             assert hessian_bound_gap(m, theta, order) \
                 == hessian_bound_gap(explicit, theta, order)
+        for seed, lam in enumerate((0.25, 0.5, 0.9)):
+            assert renyi_mc(m, theta, DivergenceOrder(lam), 2000, seed) \
+                == renyi_mc(explicit, theta, DivergenceOrder(lam), 2000, seed)
 
 
 class TestTilted:
