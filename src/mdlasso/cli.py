@@ -12,13 +12,16 @@ verify                                    run the library's invariant suite
 of that experiment: the same draw, solve and certificate as CSV row 0.
 
 Config documents are one ``key = value`` per line with ``#`` comments. The
-closed key set is ``CONFIG_KEYS`` (n, p, snr, sigma2, seed, num_trials,
-lambda, beta, eps, tau, sparsity, magnitude). Unknown or duplicate keys,
-type mismatches, and a value out of its own range are rejected with the
-offending line number; a rule that ties a value to another key (sparsity
-at most p, lambda <= 1 - beta, exactly one of snr and sigma2) is checked on
-the whole config and rejected without one. Command-line ``--set key=value``
-overrides take precedence over file values, the seed's as any other's.
+document is ``ExperimentConfig``'s init fields, ``lam`` read as ``lambda``:
+their names are the closed key set ``CONFIG_KEYS``, their annotations the
+value types (``Optional[T]`` read as ``T``), and the fields without a
+default the required keys. Syntax errors, unknown or duplicate keys and
+values that do not parse as their type are rejected with the offending line
+number. Range rules live in the config objects (``ExperimentConfig``,
+``DivergenceOrder``, ``BoundConfig``, ``default_theta_star``), which check
+the whole config; their message names the key and the value but no line.
+Command-line ``--set key=value`` overrides take precedence over file values,
+the seed's as any other's.
 
 Exit codes: 0 success; 1 invariant/acceptance failure, numerical error
 (``error: …``) or i/o error (``i/o error: …``); 2 usage/config error, which
@@ -26,8 +29,9 @@ includes an unreadable config file and a size too large to allocate.
 """
 
 import argparse
+import dataclasses
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args
 
 import numpy as np
 
@@ -36,61 +40,44 @@ from .errors import ConfigError, MdlassoError
 from .sim import ExperimentConfig, TrialRecord, run_experiment, run_trial
 
 
-# key -> (parser, validator, description); a parser raises ValueError
-CONFIG_KEYS = {
-    "n": (int, lambda v: v >= 1, "integer >= 1"),
-    "p": (int, lambda v: v >= 1, "integer >= 1"),
-    "snr": (float, lambda v: v > 0.0, "positive real"),
-    "sigma2": (float, lambda v: v > 0.0, "positive real"),
-    "seed": (int, lambda v: True, "integer"),
-    "num_trials": (int, lambda v: v >= 1, "integer >= 1"),
-    "lambda": (float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
-    "beta": (float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
-    "eps": (float, lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
-    "tau": (float, lambda v: v > 0.0, "positive real"),
-    "sparsity": (int, lambda v: v >= 1, "integer >= 1"),
-    "magnitude": (float, lambda v: v != 0.0, "non-zero real"),
-}
-
-_REQUIRED_KEYS = ("n", "p", "seed")
+# document key -> the ExperimentConfig init field it sets
+CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f
+               for f in dataclasses.fields(ExperimentConfig) if f.init}
 
 TRIAL_CSV_HEADER = "trial,snr,sigma2,d_bhatta,two_hellinger_sq,regret_bound,typical,dominated"
 PROB_CURVE_CSV_HEADER = "epsilon,floor_exact,floor_linear,floor_simplified,floor_minus_tau_term"
 
 
-def _parse_kv_line(lineno, raw: str, values: dict) -> None:
+def _parse_kv_line(where: str, raw: str, values: dict) -> None:
     line = raw.split("#", 1)[0].strip()
     if not line:
         return
     if "=" not in line:
-        raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
     key, _, value = line.partition("=")
     key = key.strip()
     value = value.strip()
     if key not in CONFIG_KEYS:
-        raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        raise ConfigError(f"{where}: unknown key '{key}'")
     if key in values:
-        raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-    parser, validator, expected = CONFIG_KEYS[key]
+        raise ConfigError(f"{where}: duplicate key '{key}'")
+    field = CONFIG_KEYS[key]  # its annotation is the type, Optional[T] read as T
+    kind = next((t for t in get_args(field.type) if t is not type(None)),
+                field.type)
     try:
-        parsed = parser(value)
+        values[key] = kind(value)
     except ValueError:
         raise ConfigError(
-            f"line {lineno}: {key}: expected {expected}, got {value!r}") from None
-    if not validator(parsed):
-        raise ConfigError(
-            f"line {lineno}: {key}: value {value!r} out of range ({expected})")
-    values[key] = parsed
+            f"{where}: {key}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _build_config(values: dict) -> ExperimentConfig:
-    for key in _REQUIRED_KEYS:
-        if key not in values:
+    for key, field in CONFIG_KEYS.items():
+        if field.default is dataclasses.MISSING and key not in values:
             raise ConfigError(f"missing required key '{key}'")
-    kwargs = {("lam" if key == "lambda" else key): value
-              for key, value in values.items()}
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**{CONFIG_KEYS[key].name: value
+                                   for key, value in values.items()})
     except (ValueError, MdlassoError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -98,18 +85,19 @@ def _build_config(values: dict) -> ExperimentConfig:
 def _parse_lines(text: str) -> dict:
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        _parse_kv_line(lineno, raw, values)
+        _parse_kv_line(f"line {lineno}", raw, values)
     return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config document."""
+    """Parse a config document and build its ``ExperimentConfig``."""
     return _build_config(_parse_lines(text))
 
 
 def _load_config(args) -> ExperimentConfig:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark (Windows Notepad writes one) is dropped
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None

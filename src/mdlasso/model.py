@@ -94,7 +94,7 @@ class DivergenceOrder:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise InvalidOrderError(
-                f"divergence order must lie in (0, 1), got {self.lam}")
+                f"divergence order lambda must lie in (0, 1), got {self.lam}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

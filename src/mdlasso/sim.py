@@ -49,7 +49,8 @@ def default_theta_star(p: int, sparsity: int = DEFAULT_SPARSITY,
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One config document (``cli.CONFIG_KEYS``, ``lambda`` as ``lam``), resolved.
+    """One experiment, resolved. Its init fields are the config document's
+    keys (``lam`` read as ``lambda``), and construction checks every range.
 
     Construction sets ``theta_star`` to ``default_theta_star`` (``sparsity``
     defaults to min(10, p)) and derives whichever of ``snr`` and ``sigma2``
@@ -80,6 +81,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError(f"n and p must be >= 1, got n={self.n}, p={self.p}")
+        if not 0 <= self.seed < 2 ** 64:
+            # substream masks a seed to 64 bits: a wider one would repeat one
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.num_trials < 1:
             raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
         if self.snr is None and self.sigma2 is None:

@@ -1,7 +1,9 @@
 """CLI tests: config parsing, CSV emission, subcommands, exit codes."""
 
 import argparse
+import codecs
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -252,11 +254,21 @@ class TestSubcommands:
                      "--seed", "1"]) == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
-    def test_config_error_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("n = 10\nbeta = 2.0\n")
-        assert main(["simulate", "--config", str(bad), "--out",
-                     str(tmp_path / "x.csv")]) == 2
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        # a complete document whose one fault is beta's range
+        bad = self.write_config(tmp_path, "n = 10\np = 5\nsnr = 1\nseed = 0\n"
+                                          "beta = 2.0\n")
+        out = tmp_path / "x.csv"
+        assert self.assert_config_error(
+            capsys, ["simulate", "--config", bad, "--out", str(out)], out) \
+            == "config error: beta must lie in (0, 1), got 2.0"
+
+    def test_override_error_names_the_override(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--config", self.write_config(tmp_path),
+                "--out", str(out), "--set", "n=ten"]
+        assert self.assert_config_error(capsys, argv, out) == (
+            "config error: override 'n=ten': n: expected int, got 'ten'")
 
     def test_missing_config_file(self, tmp_path, capsys):
         # absent, and not UTF-8 (a Latin-1 comment)
@@ -301,10 +313,30 @@ class TestSubcommands:
         ("sigma2 = 1\nmagnitude = 1e200", "must both be finite and positive"),
         # n beta sigma2 (1 - eps) overflows: mu1^2 = 0
         ("sigma2 = 1e308", "sigma2=1e+308 is out of range for n=20: "
-                           "mu1^2 = 0.0")]])
+                           "mu1^2 = 0.0"),
+        # one value out of its own range per key; each config object's
+        # message names the key and the value
+        ("snr = 1\nn = 0", "got n=0,"),
+        ("snr = 1\np = 0", "p=0"),
+        ("snr = 0", "snr must be positive, got 0.0"),
+        ("sigma2 = -1", "sigma2 must be positive, got -1.0"),
+        ("snr = 1\nnum_trials = 0", "num_trials must be >= 1, got 0"),
+        ("snr = 1\nlambda = 1", "lambda must lie in (0, 1), got 1.0"),
+        ("snr = 1\nbeta = 1.5", "beta must lie in (0, 1), got 1.5"),
+        ("snr = 1\neps = 0", "eps must lie in (0, 1), got 0.0"),
+        ("snr = 1\ntau = -1", "tau must be positive, got -1.0"),
+        ("snr = 1\nsparsity = 0", "sparsity must lie in [1, 5], got 0"),
+        ("snr = 1\nmagnitude = 0", "magnitude must be finite and non-zero"),
+        # substream keeps a seed's low 64 bits, so a wider one would repeat
+        ("snr = 1\nseed = -1", "seed must lie in [0, 2**64), got -1"),
+        (f"snr = 1\nseed = {2 ** 64}", "seed must lie in [0, 2**64), got "
+                                        f"{2 ** 64}")]])
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
                                                  noise, cause):
-        cfg = self.write_config(tmp_path, f"n = 20\np = 5\nseed = 1\n{noise}\n")
+        doc = {"n": "20", "p": "5", "seed": "1"}
+        doc.update(line.split(" = ") for line in noise.splitlines())
+        cfg = self.write_config(
+            tmp_path, "".join(f"{k} = {v}\n" for k, v in doc.items()))
         out = tmp_path / "x.csv"
         # a numpy warning (an overflowing theta_star . theta_star) would add
         # stderr lines that capsys does not see, so it is raised here
@@ -384,6 +416,15 @@ class TestBoundsOracle:
         assert self.digest(tmp_path, capsys, MINIMAL) == (
             "815528864ce2d309f70b3090f36e3e290bbe60a05d86d7863a288cc14ee9e7d1")
 
+    def test_bom_prefixed_config_prints_the_same_stdout(self, tmp_path,
+                                                        capsys):
+        # Windows Notepad starts a UTF-8 file with a byte-order mark
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + MINIMAL.encode())
+        got = self.run(capsys, ["bounds", "--config", str(path)])
+        assert hashlib.sha256(got.encode()).hexdigest() == (
+            "815528864ce2d309f70b3090f36e3e290bbe60a05d86d7863a288cc14ee9e7d1")
+
     def test_iterating_stdout_pinned(self, tmp_path, capsys):
         assert self.digest(tmp_path, capsys, ITERATING) == (
             "dae055785eeed5764a90664fef8a2b9ea04a986324e4d6019a67e621092adc7f")
@@ -392,6 +433,7 @@ class TestBoundsOracle:
         ([], 42, 1.5),
         (["--set", "seed=44"], 44, 1.5),
         (["--set", "snr=10"], 42, 10.0),
+        (["--set", f"seed={2 ** 64 - 1}"], 2 ** 64 - 1, 1.5),  # the widest
     ])
     def test_same_precedence_as_simulate(self, tmp_path, capsys, extra, seed,
                                          snr):
@@ -413,13 +455,17 @@ class TestBoundsOracle:
         assert got == self.run(capsys, ["bounds", "--config", str(explicit)])
 
 
+def readme_cli_block(lang):
+    """The first ``lang`` code block under README ``## CLI``."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
 def test_readme_cli_flags_match_parser():
     """The ``sh`` block under README ``## CLI`` names, for each subcommand,
     exactly the option strings the parser defines, ``-h/--help`` aside."""
-    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
     documented = {}
-    for line in block.replace("\\\n", " ").splitlines():
+    for line in readme_cli_block("sh").replace("\\\n", " ").splitlines():
         words = line.split()
         if words[:1] == ["mdlasso"]:
             documented[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
@@ -429,6 +475,19 @@ def test_readme_cli_flags_match_parser():
                       for opt in action.option_strings} - {"-h", "--help"}
                for name, sub in subparsers.choices.items()}
     assert documented == defined
+
+
+def test_readme_config_block_shows_the_defaults():
+    """The ``ini`` block under README ``## CLI`` parses, names every
+    document key, and shows each default ``ExperimentConfig`` has."""
+    block = readme_cli_block("ini")
+    cfg = parse_config(block)
+    assert set(cli.CONFIG_KEYS) <= set(re.findall(r"[a-z_0-9]+", block))
+    defaults = {f.name: f.default for f in cli.CONFIG_KEYS.values()
+                if f.default not in (dataclasses.MISSING, None)}
+    assert set(defaults) == {"num_trials", "lam", "beta", "eps", "tau",
+                             "magnitude"}
+    assert {name: getattr(cfg, name) for name in defaults} == defaults
 
 
 def python_m_mdlasso(*argv):

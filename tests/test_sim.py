@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mdlasso import sim
-from mdlasso.cli import CONFIG_KEYS, parse_config
+from mdlasso.cli import parse_config
 from mdlasso.divergences import bhattacharyya
 from mdlasso.model import DivergenceOrder, GaussianLinearModel, renyi_div
 from mdlasso.penalty import column_mean_squares, min_coefficients
@@ -69,11 +69,6 @@ class TestExperimentConfig:
     def test_rejects_zero_magnitude(self):
         with pytest.raises(ValueError, match="magnitude"):
             ExperimentConfig(n=10, p=5, seed=1, snr=1.0, magnitude=0.0)
-
-    def test_init_fields_are_document_keys(self):
-        fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.init]
-        keys = ["lam" if key == "lambda" else key for key in CONFIG_KEYS]
-        assert sorted(fields) == sorted(keys)
 
 
 class TestDrawProblem:
