@@ -59,8 +59,9 @@ class BoundConfig:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(
+                f"tau must be positive and finite, got {self.tau}")
         if self.order.lam > 1.0 - self.beta + 1e-12:
             raise InvalidOrderError(
                 f"inadmissible pair: lam={self.order.lam} exceeds "
@@ -90,8 +91,8 @@ class ProbCurvePoint:
 def probability_floor(n: int, p: int, eps: float, tau: float,
                       beta: float) -> ProbCurvePoint:
     """The regret bound's probability floor at (n, p, eps, tau, beta)."""
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     chain = prob_lower_bounds(n, p, eps)

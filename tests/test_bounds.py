@@ -38,8 +38,10 @@ class TestBoundConfig:
         BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            BoundConfig(DivergenceOrder(0.4), 0.5, 0.5, 0.0)
+        # a bound of main_term + inf is vacuous whatever the floor says
+        for tau in (0.0, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                BoundConfig(DivergenceOrder(0.4), 0.5, 0.5, tau)
 
 
 class TestRegretMainTerm:

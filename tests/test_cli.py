@@ -324,7 +324,7 @@ class TestSubcommands:
         ("snr = 1\nlambda = 1", "lambda must lie in (0, 1), got 1.0"),
         ("snr = 1\nbeta = 1.5", "beta must lie in (0, 1), got 1.5"),
         ("snr = 1\neps = 0", "eps must lie in (0, 1), got 0.0"),
-        ("snr = 1\ntau = -1", "tau must be positive, got -1.0"),
+        ("snr = 1\ntau = -1", "tau must be positive and finite, got -1.0"),
         ("snr = 1\nsparsity = 0", "sparsity must lie in [1, 5], got 0"),
         ("snr = 1\nmagnitude = 0", "magnitude must be finite and non-zero"),
         # substream keeps a seed's low 64 bits, so a wider one would repeat
@@ -346,6 +346,17 @@ class TestSubcommands:
                 capsys, ["simulate", "--config", cfg, "--out", str(out)], out)
         assert cause in err
 
+    @pytest.mark.parametrize("command", ["simulate", "bounds"])
+    def test_infinite_tau_is_a_config_error(self, tmp_path, capsys, command):
+        # a bound of main_term + inf is vacuous, so it is not computed
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", self.write_config(tmp_path),
+                "--set", "tau=inf"]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        assert self.assert_config_error(capsys, argv, out) == (
+            "config error: tau must be positive and finite, got inf")
+
     @pytest.mark.parametrize("p", [1, 5])
     def test_one_sample_designs_run_quietly(self, tmp_path, capsys, p):
         # warnings, also those of pool workers, are raised as errors here
@@ -361,8 +372,9 @@ class TestSubcommands:
             assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tau", "-1"), ("--tau", "nan"), ("--n", "0"), ("--beta", "1.5"),
-        ("--eps-min", "0"), ("--eps-max", "1"), ("--eps-max", "inf"),
+        ("--tau", "-1"), ("--tau", "nan"), ("--tau", "inf"), ("--n", "0"),
+        ("--beta", "1.5"), ("--eps-min", "0"), ("--eps-max", "1"),
+        ("--eps-max", "inf"),
         ("--steps", "1000000000000000")])  # past the address space
     def test_prob_curve_range_errors(self, tmp_path, capsys, flag, value):
         args = {"--n": "50", "--p": "20", "--tau": "0.2", "--beta": "0.5",

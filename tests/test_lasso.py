@@ -300,7 +300,8 @@ class TestFastPathOracle:
     """solve() reproduces the reference ISTA loop bit for bit."""
 
     @pytest.mark.parametrize("n,p",
-                             [(40, 120), (60, 200), (30, 1), (50, 100)])
+                             [(40, 120), (60, 200), (30, 1), (50, 100),
+                              (200, 1000)])  # (200, 1000): sim-dense
     @pytest.mark.parametrize("snr", [0.5, 1.5, 10.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical(self, n, p, snr, seed):
