@@ -17,11 +17,14 @@ subgradient (KKT) residual, so "converged" is a checkable statement about
 the returned point rather than about step sizes.
 
 Both iterations write their length-n and length-p vectors into arrays
-allocated once per call, with the same floating-point operations in the
-same order as the plain expressions. Their ``np.dot`` products give the
-bits of ``X @ v`` for a C- or Fortran-contiguous X, as every drawn design
-is (other strides may differ in the last bits), so the iterates are those
-expressions' bits. ISTA's first residual is Y, which Y - X @ 0 is.
+allocated once per call, by bound ``ndarray.dot`` methods (``np.dot``
+less its dispatch step) and ufuncs given the output array (ISTA's scalar
+operands as 0-d arrays), in the plain expressions' order of operations.
+For a C- or Fortran-contiguous X, as every drawn design is, ``X.dot(v)``
+has the bits of ``X @ v`` (other strides may differ in the last bits); on
+1-D arrays both call the BLAS ``ddot``, and ``np.add.reduce`` is ``sum``'s
+pairwise sum. ``TestFastPathOracle`` shows the iterates, trace and
+residual equal to the plain expressions' bit for bit.
 
 Each iteration first tests a lower bound on the KKT residual: |g_j| -
 mu1 w_j at the coordinate j that last maximized it, then, if that is not
@@ -35,6 +38,7 @@ allocates, arrays the size of the nonzero set.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,19 +172,18 @@ def _lipschitz(prob: LassoProblem) -> float:
     rng = np.random.default_rng(0)  # fixed: the estimate is deterministic
     v = rng.standard_normal(prob.p)
     v /= math.sqrt(v @ v)
-    X, XT, dot = prob.X, prob.X.T, np.dot
-    Xv = np.empty(prob.n)
-    u = np.empty(prob.p)
-    rho_prev = 0.0
-    rho = 0.0
+    Xv, u = np.empty(prob.n), np.empty(prob.p)
+    Xdot, XTdot, vdot, udot = prob.X.dot, prob.X.T.dot, v.dot, u.dot
+    divide, sqrt = np.divide, math.sqrt
+    rho_prev = rho = 0.0
     for _ in range(_POWER_ITERATIONS):
-        dot(X, v, out=Xv)
-        dot(XT, Xv, out=u)
-        rho = float(v @ u)
-        norm_u = math.sqrt(u @ u)
+        Xdot(v, Xv)
+        XTdot(Xv, u)
+        rho = float(vdot(u))
+        norm_u = sqrt(udot(u))
         if norm_u == 0.0:
             break
-        np.divide(u, norm_u, out=v)
+        divide(u, norm_u, v)
         if abs(rho - rho_prev) <= _POWER_TOL * max(1.0, abs(rho)):
             break
         rho_prev = rho
@@ -196,71 +199,68 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     iterations, the step size is never estimated, and its objective value
     takes no product. Otherwise the step is estimated once and that
     gradient serves as the first iteration's.
-    An iteration computes the exact KKT residual only when its lower bound
-    (see the module docstring) is not above tol, or when the budget is
-    spent, so the reported ``kkt_residual`` is always the exact residual
-    at ``theta_hat``, never the bound.
-    Non-convergence within ``max_iter`` is reported via the ``converged``
-    flag, not raised.
+    The reported ``kkt_residual`` is exact at ``theta_hat``, never the lower
+    bound. Non-convergence within ``max_iter``, an integer >= 1, is reported
+    via the ``converged`` flag, not raised.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    max_iter = operator.index(max_iter)  # a float budget is never met
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X, Y, w = prob.X, prob.Y, prob.w
-    XT, dot = X.T, np.dot
-    mu1 = prob.coeffs.mu1
-    scale = prob.n * prob.sigma2
+    Xdot, XTdot, add_reduce = X.dot, X.T.dot, np.add.reduce
+    abs_, sign, maximum = np.abs, np.sign, np.maximum
+    divide, multiply, subtract = np.divide, np.multiply, np.subtract
+    mu1, scale = prob.coeffs.mu1, prob.n * prob.sigma2
+    # a ufunc takes a 0-d array operand faster than a Python float
+    neg_scale, two_scale, zero = np.array(-scale), 2.0 * scale, np.zeros(())
     kkt_level = mu1 * w
     step = level = None
     theta = np.zeros(prob.p)
     mag = np.zeros(prob.p)  # |theta|: the shrink's max(|x| - level, 0)
     resid = Y  # Y - X @ 0; later iterates' residuals go to ``fit``
-    fit = np.empty(prob.n)
-    g = np.empty(prob.p)
-    work = np.empty(prob.p)
-    trace = []
-    iterations = 0
+    fit, g, work = np.empty(prob.n), np.empty(prob.p), np.empty(prob.p)
+    trace, iterations = [], 0
     worst = 0  # the coordinate of the last vector bound's maximum
-    # Each expression keeps its association order, e.g. (step * mu1) * w:
-    # the iterates are pinned bit for bit (TestFastPathOracle).
     # ||resid||^2 may overflow to inf (sigma2 near the float64 maximum); the
     # trace then carries it, and regret_certificate refuses the main term
     with np.errstate(over="ignore"):
         while True:
-            dot(XT, resid, out=g)
-            np.divide(g, -scale, out=g)  # -(X^T resid) / scale, to the bit
+            XTdot(resid, g)
+            divide(g, neg_scale, g)  # -(X^T resid) / scale, to the bit
             # |g_j| - level_j rounds to at most _kkt's term j, so a bound
             # > tol decides "no stop" alone; a NaN fails > and falls through
-            kkt = abs(g[worst]) - kkt_level[worst]
+            kkt = abs(g.item(worst)) - kkt_level.item(worst)
             if not kkt > tol:
-                np.abs(g, out=work)
-                np.subtract(work, kkt_level, out=work)
-                worst = int(work.argmax())
-                kkt = work[worst]
+                abs_(g, work)
+                subtract(work, kkt_level, work)
+                worst = work.argmax()
+                kkt = work.item(worst)
             if not kkt > tol or iterations == max_iter:
                 kkt = _kkt(theta, g, kkt_level, work)
             if iterations == max_iter:
                 break
-            np.multiply(w, mag, out=work)
-            trace.append(float(resid @ resid) / (2.0 * scale)
-                         + mu1 * float(work.sum()))
+            multiply(w, mag, work)
+            trace.append(float(resid.dot(resid)) / two_scale
+                         + mu1 * float(add_reduce(work)))
             if kkt <= tol:
                 break
             if step is None:
                 step = 1.0 / (_lipschitz(prob) * (1.0 + _STEP_HEADROOM))
-                level = step * mu1 * w
+                step, level = np.array(step), step * mu1 * w  # 0-d step
             # theta <- sign(x) * max(|x| - level, 0) at x = theta - step * g
-            np.multiply(g, step, out=work)
-            np.subtract(theta, work, out=work)
-            np.abs(work, out=mag)
-            np.subtract(mag, level, out=mag)
-            np.maximum(mag, 0.0, out=mag)
-            np.sign(work, out=work)
-            np.multiply(work, mag, out=theta)
+            # (at x = -0.0 copysign gives -0.0, sign(x) * 0.0 gives +0.0)
+            multiply(g, step, work)
+            subtract(theta, work, work)
+            abs_(work, mag)
+            subtract(mag, level, mag)
+            maximum(mag, zero, out=mag)  # a positional out is deprecated
+            sign(work, work)
+            multiply(work, mag, theta)
             iterations += 1
-            dot(X, theta, out=fit)
-            resid = np.subtract(Y, fit, out=fit)
+            Xdot(theta, fit)
+            resid = subtract(Y, fit, fit)
     obj = objective(prob, theta)
     trace.append(obj)
     return SolveReport(

@@ -277,6 +277,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(prob, tol=0.0)
 
+    @pytest.mark.parametrize("max_iter,error",
+                             [(2.5, TypeError), (0, ValueError)])
+    def test_rejects_bad_max_iter(self, max_iter, error):
+        # the budget exit tests iterations == max_iter, which no float
+        # meets: a non-converging solve would never stop
+        with pytest.raises(error):
+            solve(scalar_problem(), max_iter=max_iter)
+
 
 class TestKktResidual:
     def test_zero_at_scalar_solution(self):
@@ -301,7 +309,8 @@ class TestFastPathOracle:
 
     @pytest.mark.parametrize("n,p",
                              [(40, 120), (60, 200), (30, 1), (50, 100),
-                              (200, 1000)])  # (200, 1000): sim-dense
+                              (200, 1000),  # sim-dense
+                              (20, 500)])  # n << p
     @pytest.mark.parametrize("snr", [0.5, 1.5, 10.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical(self, n, p, snr, seed):
