@@ -20,6 +20,7 @@ log space shifted by their maximum, so large displacements cannot overflow.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import InvalidOrderError, NumericalFailureError
 from .model import DivergenceOrder, GaussianLinearModel, displacement_energy, renyi_div
+from .pool import map_indices
 from .seeding import chunk_stream
 
 _MC_CHUNK = 1 << 14
@@ -95,14 +97,19 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
 
     The sample is cut into chunks of ``_MC_CHUNK`` samples (the last takes
     the remainder), and chunk c draws its d, then its z, from
-    ``seeding.chunk_stream(seed, c)``. Each chunk's statistics are taken
-    relative to its own maximum and merged in chunk order, rescaled to the
-    global maximum; they equal a one-shot computation over the same sample
-    to rounding. The estimate is reproducible from the seed. Peak memory is
-    two vectors of ``_MC_CHUNK`` floats, whatever p is.
+    ``seeding.chunk_stream(seed, c)``. The chunks run on
+    ``pool.map_indices``; a call of one chunk runs in-process. Each chunk's
+    statistics are taken relative to its own maximum and merged in chunk
+    order, rescaled to the global maximum; they equal a one-shot
+    computation over the same sample to rounding. The estimate is
+    reproducible from the seed, bit for bit whatever the CPU count. Peak
+    memory is two vectors of ``_MC_CHUNK`` floats per process, whatever p
+    is.
 
     Raises
     ------
+    TypeError
+        If ``num_samples`` is not an integer (``1e5``, say).
     ValueError
         If ``num_samples`` < 1000 (too few for the delta-method error bar),
         or ``theta`` does not hold p finite entries; both before any draw.
@@ -110,6 +117,7 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
         If the ratio mean is non-positive or non-finite, which cannot happen
         with exact arithmetic and signals an overflow-handling bug.
     """
+    num_samples = operator.index(num_samples)
     if num_samples < 1000:
         raise ValueError(f"num_samples must be >= 1000, got {num_samples}")
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
@@ -123,10 +131,11 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
     sqrt_t = math.sqrt(t)
     lam = order.lam
     chunk = min(_MC_CHUNK, num_samples)
-    bufs = np.empty((2, chunk))
-    stats = [_chunk_stats(sqrt_t, model.sigma2, lam, seed, c,
-                          bufs[:, :min(chunk, num_samples - lo)])
-             for c, lo in enumerate(range(0, num_samples, chunk))]
+    bufs = np.empty((2, chunk))  # each worker writes its own copy
+    stats = map_indices(
+        lambda c: _chunk_stats(sqrt_t, model.sigma2, lam, seed, c,
+                               bufs[:, :min(chunk, num_samples - c * chunk)]),
+        -(-num_samples // chunk))
 
     # Statistics of r_i = exp(a_i - shift), a_i = (1-lam) log-ratio.
     shift = max(chunk_max for chunk_max, _, _ in stats)

@@ -1,19 +1,25 @@
 """The package's one process pool: ``map_indices``.
 
 ``map_indices(fn, count)`` returns ``[fn(0), ..., fn(count - 1)]``. Its
-callers (``sim.run_experiment``, ``bounds.risk_bound_rhs``) seed index i
-from its own substream, so the list does not depend on where each call ran.
+callers (``sim.run_experiment``, ``bounds.risk_bound_rhs``,
+``divergences.renyi_mc`` and ``verify``'s ``divergences.mc_agreement``
+sweep) seed index i from its own stream, so the list does not depend on
+where each call ran.
 
 The calls run in workers started with ``os.fork``, one per CPU in this
 process's ``os.sched_getaffinity`` set and at most ``count``. They inherit
 the imported modules and patched module state, so ``fn`` need not pickle.
 Worker k pins itself to the k-th CPU (cycling; unpinned if the kernel
-refuses) and holds its OpenBLAS to one thread. Before it forks, the caller
-writes every index once, as an 8-byte word, to a temporary file and rewinds
-it; the workers share that open file, and with it one file offset. Linux
-locks a shared regular file's offset for each read, so each worker's
-8-byte ``os.read`` claims the next whole word, and a worker on a busier CPU
-claims fewer (CHANGES.md has the measurements). The file must be a regular
+refuses). The caller sets its OpenBLAS to one thread before it forks and
+back once every worker is reaped, so each worker inherits one BLAS thread.
+A worker does not set the count itself: that starts an OpenBLAS server
+thread, which spins on the worker's CPU for about 0.1 s and was seen to
+halve the worker's speed. Before it forks, the caller writes every index
+once, as an 8-byte word, to a temporary file and rewinds it; the workers
+share that open file, and with it one file offset. Linux locks a shared
+regular file's offset for each read, so each worker's 8-byte ``os.read``
+claims the next whole word, and a worker on a busier CPU claims fewer
+(CHANGES.md has the measurements). The file must be a regular
 one: a memfd's offset is not locked, and two workers were seen to claim one
 index. A worker sends back one pickled list of ``(index, value)`` pairs on
 a pipe of its own, and the caller takes the pipes in the order the workers
@@ -22,10 +28,10 @@ process on a 2-vCPU guest (two sets of ten runs). The calls run in-process
 instead when that is one worker, without fork, when the caller runs other
 Python threads or is a worker of this pool or of a daemonic
 ``multiprocessing`` one, and when no OpenBLAS is found whose thread count
-could be set. The caller flushes ``sys.stdout`` and ``sys.stderr`` before
-it forks, else each worker would write the caller's buffered text again;
-each worker flushes them before its ``os._exit``, which would drop what it
-wrote.
+could be read and set. The caller flushes ``sys.stdout`` and
+``sys.stderr`` before it forks, else each worker would write the caller's
+buffered text again; each worker flushes them before its ``os._exit``,
+which would drop what it wrote.
 
 An exception in a worker is re-raised with its type (as a ``RuntimeError``
 with its repr if it does not pickle), and that worker moves the shared
@@ -67,7 +73,7 @@ def _worker_count(count: int) -> int:
     with other Python threads (a lock one holds stays held in the child),
     in a worker of this pool or a daemonic ``multiprocessing`` one (a pool
     in each worker of another multiplies the processes), and when no
-    OpenBLAS is found whose thread count could be set."""
+    OpenBLAS is found whose thread count could be read and set."""
     mp = sys.modules.get("multiprocessing")
     if (_in_worker
             or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
@@ -75,24 +81,26 @@ def _worker_count(count: int) -> int:
             or (mp is not None and mp.current_process().daemon)):
         return 1
     workers = min(usable_cpus(), count)
-    if workers == 1 or _blas_thread_setter() is None:
+    if workers == 1 or _blas_threads() is None:
         return 1
     return workers
 
 
-# OpenBLAS's thread-count setter under the names its builds export
+# OpenBLAS's thread-count setter under the names its builds export; the
+# getter's name has "get" for "set"
 _BLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads",
                      "scipy_openblas_set_num_threads64_")
 
 
 @functools.cache
-def _blas_thread_setter():
-    """``set_num_threads`` of the OpenBLAS that numpy has loaded, or None.
+def _blas_threads():
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS that numpy
+    has loaded, or None.
 
     The library is looked up in /proc/self/maps, once per process; None
-    where that file, an OpenBLAS library or the symbol is missing (another
-    BLAS, for example).
+    where that file, an OpenBLAS library or either symbol is missing
+    (another BLAS, for example).
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -108,8 +116,11 @@ def _blas_thread_setter():
             continue
         for name in _BLAS_SET_THREADS:
             setter = getattr(lib, name, None)
-            if setter is not None:
-                return setter
+            getter = getattr(lib, name.replace("set_", "get_", 1), None)
+            if setter is not None and getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
     return None
 
 
@@ -126,7 +137,6 @@ def _work(fn, queue, out, cpu) -> None:
     try:
         with suppress(OSError):  # the CPU left this process's set, say
             os.sched_setaffinity(0, {cpu})
-        _blas_thread_setter()(1)  # the caller's, cached before it forked
         pairs = []
         try:
             while word := os.read(queue, 8):
@@ -156,6 +166,8 @@ def map_indices(fn: Callable[[int], T], count: int) -> list[T]:
     workers = _worker_count(count)
     if workers == 1:
         return [fn(i) for i in range(count)]
+    get_blas_threads, set_blas_threads = _blas_threads()
+    blas_threads = get_blas_threads()
     cpus = sorted(os.sched_getaffinity(0))
     pairs, fds = [], []  # the (index, value) pairs back; the pipe ends open
     children = {}  # the read end of each worker not yet reaped: its pid
@@ -165,6 +177,7 @@ def map_indices(fn: Callable[[int], T], count: int) -> list[T]:
         queue.seek(0)  # writes the words out; the workers share this offset
         _flush_std_streams()  # else each worker writes the buffered text again
         try:
+            set_blas_threads(1)  # what each worker inherits
             for k in range(workers):
                 fds += os.pipe()
                 pid = os.fork()
@@ -199,4 +212,5 @@ def map_indices(fn: Callable[[int], T], count: int) -> list[T]:
                 import signal  # ~0.7 ms at import time, paid only here
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+            set_blas_threads(blas_threads)
     return [value for _, value in sorted(pairs)]

@@ -19,6 +19,7 @@ from . import bounds, divergences, lasso, penalty, sim, typical_set
 from .model import (DivergenceOrder, GaussianLinearModel, hessian_bound_gap,
                     min_eigenvalue, renyi_div, renyi_grad, renyi_hess,
                     sqrt_sym, tilted)
+from .pool import map_indices
 from .seeding import substream
 
 
@@ -218,36 +219,47 @@ def check_divergences_mc_agreement():
     t <= sigma2 and runs orders 0.25, 0.5 and 0.9 on each at 1e5 samples;
     at least 99 instances must agree at every order. Thirteen more
     instances at orders 0.5 and 0.9 reach t of about 24 sigma2, and all of
-    them must agree.
+    them must agree. All 113 instances are drawn first, then mapped on
+    ``pool.map_indices``; in its workers ``renyi_mc`` runs in-process.
     """
     rng = substream(404)
     orders = [DivergenceOrder(lam) for lam in (0.25, 0.5, 0.9)]
-    passed = 0
+    instances = []  # (model, theta, [(order, seed), ...])
     for i in range(100):
         m = random_model(rng)
         direction = rng.standard_normal(m.dim)
         direction /= math.sqrt(direction @ (m.cov @ direction))
         theta = m.theta_star + direction * math.sqrt(
             float(rng.uniform(0.05, 1.0)) * m.sigma2)
-        agree = True
-        for j, order in enumerate(orders):
-            est = divergences.renyi_mc(m, theta, order, 100_000,
-                                       seed=40_000 + 3 * i + j)
-            if abs(est.value - renyi_div(m, theta, order)) > 3 * est.std_error:
-                agree = False
-        passed += agree
-    assert passed >= 99, f"{passed}/100 instances within 3 SE (need >= 99)"
-
+        instances.append((m, theta, [(order, 40_000 + 3 * i + j)
+                                     for j, order in enumerate(orders)]))
     rng = substream(110)
+    far = []  # (i, order) of each instance after the first 100
     for i in range(20):
         m = random_model(rng)
         theta = m.theta_star + rng.standard_normal(m.dim) * 0.7
         if i % 3 == 0:
             continue
         order = DivergenceOrder(0.5 if i % 3 == 1 else 0.9)
-        est = divergences.renyi_mc(m, theta, order, 100_000, seed=7000 + i)
-        gap = abs(est.value - renyi_div(m, theta, order))
-        assert gap <= 3 * est.std_error, \
+        instances.append((m, theta, [(order, 7000 + i)]))
+        far.append((i, order))
+
+    def gaps(k):
+        """(|estimate - closed form|, SE) at each order of instance k."""
+        m, theta, runs = instances[k]
+        out = []
+        for order, seed in runs:
+            est = divergences.renyi_mc(m, theta, order, 100_000, seed=seed)
+            out.append((abs(est.value - renyi_div(m, theta, order)),
+                        est.std_error))
+        return out
+
+    results = map_indices(gaps, len(instances))
+    passed = sum(not any(gap > 3 * se for gap, se in r)
+                 for r in results[:100])
+    assert passed >= 99, f"{passed}/100 instances within 3 SE (need >= 99)"
+    for (i, order), [(gap, se)] in zip(far, results[100:]):
+        assert gap <= 3 * se, \
             f"instance {i}, order {order.lam}: {gap:.3e} > 3 SE"
 
 

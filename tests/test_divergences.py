@@ -8,6 +8,7 @@ is also the reference for ``renyi_mc``, which draws only the fit gap.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -105,9 +106,12 @@ class TestRenyiMc:
             3 * got.std_error
 
     @pytest.mark.parametrize("p", [100, 1000])
-    def test_peak_memory_does_not_grow_with_p(self, p):
+    def test_peak_memory_does_not_grow_with_p(self, monkeypatch, p):
         # four full 16 384-sample chunks and a ragged fifth; the two
-        # per-chunk vectors take 256 KiB
+        # per-chunk vectors take 256 KiB. tracemalloc cannot see pool
+        # workers, so the process may run on one CPU: the chunks run here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         m = GaussianLinearModel(np.full(p, 0.1), 1.0, None)
         tracemalloc.start()
         try:
@@ -140,9 +144,12 @@ class TestRenyiMc:
         assert math.isfinite(est.value)
 
     def test_rejects_small_sample(self):
+        # a float count (1e5) is refused as solve refuses a float max_iter
         m = GaussianLinearModel(np.zeros(1), 1.0, np.eye(1))
-        with pytest.raises(ValueError):
-            renyi_mc(m, np.array([1.0]), DivergenceOrder(0.5), 999, seed=0)
+        for num_samples, error in ((999, ValueError), (1e5, TypeError)):
+            with pytest.raises(error):
+                renyi_mc(m, np.array([1.0]), DivergenceOrder(0.5),
+                         num_samples, seed=0)
 
 
 class TestKlClosed:

@@ -50,12 +50,13 @@ class _DlInfo(ctypes.Structure):
 
 def openblas_build():
     """(core name, build config) of the OpenBLAS in which
-    ``pool._blas_thread_setter`` found its symbol, or None where it found
-    none or the library names no core."""
-    setter = pool._blas_thread_setter()
+    ``pool._blas_threads`` found its symbols, or None where it found none
+    or the library names no core."""
+    blas = pool._blas_threads()
     dladdr = getattr(ctypes.CDLL(None), "dladdr", None)  # glibc's, say
-    if setter is None or dladdr is None:
+    if blas is None or dladdr is None:
         return None
+    setter = blas[1]
     dladdr.argtypes = [ctypes.c_void_p, ctypes.POINTER(_DlInfo)]
     dladdr.restype = ctypes.c_int
     info = _DlInfo()

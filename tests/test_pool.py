@@ -1,9 +1,10 @@
 """The trial pool's contract: ``mdlasso.pool.map_indices``.
 
 Each behaviour is driven through ``map_indices`` with a cheap function.
-Each caller (``run_experiment``, ``risk_bound_rhs``) has one test that its
-pooled result equals its serial one, and each pool failure line of the
-CLI has one test. This is the one test module that patches
+Each caller (``run_experiment``, ``risk_bound_rhs``, ``renyi_mc``) has one
+test that its pooled result equals its serial one, the ``mc_agreement``
+sweep one that it forks once, and each pool failure line of the CLI has
+one test. This is the one test module that patches
 ``pool.usable_cpus``, calls ``map_indices`` or defines ``can_fork``, and
 ``pool.py`` is the one source module that starts processes
 (``test_only_the_pool_module_starts_processes``).
@@ -27,12 +28,12 @@ import time
 import numpy as np
 import pytest
 
-from mdlasso import pool, sim
+from mdlasso import divergences, pool, sim, verify
 from mdlasso.bounds import risk_bound_rhs
 from mdlasso.cli import emit_csv, main, parse_config
-from mdlasso.divergences import renyi_mc
+from mdlasso.divergences import McEstimate, renyi_mc
 from mdlasso.errors import NumericalFailureError
-from mdlasso.model import DivergenceOrder, GaussianLinearModel
+from mdlasso.model import DivergenceOrder, GaussianLinearModel, renyi_div
 from mdlasso.sim import ExperimentConfig, run_experiment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -275,8 +276,8 @@ class TestTrialPool:
 
     def test_failed_fork_leaves_no_child_or_descriptor(self, monkeypatch):
         cpus(monkeypatch, 2)
-        monkeypatch.setattr(pool, "_blas_thread_setter",
-                            lambda: lambda threads: None)
+        monkeypatch.setattr(pool, "_blas_threads",
+                            lambda: (lambda: 1, lambda threads: None))
         real_fork = os.fork
         calls = []
 
@@ -296,7 +297,7 @@ class TestTrialPool:
 
     def test_blas_setter_looked_up_once(self, monkeypatch):
         cpus(monkeypatch, 2)
-        pool._blas_thread_setter.cache_clear()
+        pool._blas_threads.cache_clear()
         real_open = builtins.open
         lookups = []
 
@@ -324,26 +325,29 @@ class TestTrialPool:
             worker, inner = outer.apply(pids_of_a_map, (4,))
         assert worker != os.getpid() and inner == [worker] * 4
 
-    def test_workers_hold_blas_to_one_thread(self, monkeypatch, tmp_path):
+    def test_workers_hold_blas_to_one_thread(self, monkeypatch):
+        # a worker inherits one OpenBLAS thread and starts none: setting the
+        # count in a worker starts a server thread that spins on its CPU
         cpus(monkeypatch, 2)
-        log = tmp_path / "blas"
-        log.write_text("")
+        if pool._blas_threads() is None:
+            pytest.skip("no OpenBLAS thread setter: the map runs in-process")
+        get_threads, _ = pool._blas_threads()
+        before = get_threads()
+        a = np.ones((200, 200))
 
-        def setter(count):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {count}\n")
+        def threads(i):
+            a @ a
+            tasks = len(os.listdir("/proc/self/task"))  # its OS threads
+            return os.getpid(), get_threads(), tasks
 
-        monkeypatch.setattr(pool, "_blas_thread_setter", lambda: setter)
-        forked = forks(monkeypatch)
-        pool.map_indices(lambda i: i, 8)
-        calls = [line.split() for line in log.read_text().splitlines()]
-        assert len(forked) == 2
-        assert sorted(int(pid) for pid, _ in calls) == sorted(forked)
-        assert {count for _, count in calls} == {"1"}
+        got = pool.map_indices(threads, 4)
+        assert os.getpid() not in {pid for pid, _, _ in got}
+        assert {(count, tasks) for _, count, tasks in got} == {(1, 1)}
+        assert get_threads() == before
 
     def test_no_blas_setter_runs_in_process(self, monkeypatch):
         cpus(monkeypatch, 2)
-        monkeypatch.setattr(pool, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(pool, "_blas_threads", lambda: None)
         assert pool.map_indices(lambda i: os.getpid(), 4) == [os.getpid()] * 4
 
     def test_other_python_thread_runs_in_process(self, monkeypatch):
@@ -359,11 +363,14 @@ class TestTrialPool:
         assert pids == [os.getpid()] * 4
 
     def test_pool_after_renyi_mc(self, monkeypatch):
-        # renyi_mc starts no thread, so the trial pool may still fork
+        # renyi_mc maps its three chunks on the pool and leaves no thread
+        # behind, so a later map may still fork
         cpus(monkeypatch, 2)
         before = threading.active_count()
         model = GaussianLinearModel(np.zeros(3), 1.0, None)
+        forked = forks(monkeypatch)
         renyi_mc(model, np.ones(3), DivergenceOrder(0.5), 40_000, seed=1)
+        assert len(forked) == 2
         assert threading.active_count() == before
         assert os.getpid() not in pool.map_indices(lambda i: os.getpid(), 4)
 
@@ -374,7 +381,7 @@ class TestTrialPool:
             pytest.skip("numpy does not report its BLAS")
         if "openblas" not in blas:
             pytest.skip(f"numpy uses {blas}, not OpenBLAS")
-        assert pool._blas_thread_setter() is not None
+        assert pool._blas_threads() is not None
 
     def test_each_worker_pinned_to_its_own_cpu(self, monkeypatch):
         cpus(monkeypatch, 2)
@@ -490,6 +497,41 @@ class TestRiskBoundOnThePool:
         assert repr(pooled) == repr(serial)
         for name in vars(serial):
             assert getattr(pooled, name) == getattr(serial, name), name
+
+
+@can_fork
+class TestRenyiMcOnThePool:
+    # one chunk (mapped in-process), five with a ragged last one, and 62
+    @pytest.mark.parametrize("num_samples, workers",
+                             [(10_000, 0), (70_000, 2), (1_000_000, 2)])
+    def test_pool_matches_serial(self, monkeypatch, num_samples, workers):
+        model = GaussianLinearModel(np.array([0.5, -1.0, 0.0]), 0.8, None)
+        theta, order = np.array([0.1, 0.2, -0.4]), DivergenceOrder(0.25)
+        cpus(monkeypatch, 1)
+        serial = renyi_mc(model, theta, order, num_samples, seed=4)
+        cpus(monkeypatch, 2)
+        forked = forks(monkeypatch)
+        pooled = renyi_mc(model, theta, order, num_samples, seed=4)
+        assert len(forked) == workers
+        assert pooled == serial
+
+    def test_mc_agreement_sweep_forks_once(self, monkeypatch, tmp_path):
+        # its 313 renyi_mc calls run in the two workers of one map
+        log = tmp_path / "calls"
+        log.write_text("")
+
+        def closed_form(model, theta, order, num_samples, seed):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return McEstimate(renyi_div(model, theta, order), 0.0)
+
+        monkeypatch.setattr(divergences, "renyi_mc", closed_form)
+        cpus(monkeypatch, 2)
+        forked = forks(monkeypatch)
+        verify.check_divergences_mc_agreement()
+        assert len(forked) == 2
+        pids = log.read_text().split()
+        assert len(pids) == 313 and set(map(int, pids)) <= set(forked)
 
 
 def starts_processes(tree: ast.AST) -> bool:
