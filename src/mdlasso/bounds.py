@@ -27,17 +27,18 @@ lower bound is >= 1/e, where P log(1/P) and (1 - P) are both decreasing.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .divergences import AlphaOrder
-from .errors import (InsufficientAcceptanceError, InvalidCertificateError,
-                     InvalidOrderError)
+from .errors import InsufficientAcceptanceError, InvalidCertificateError
 from .lasso import LassoProblem, objective, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
-from .penalty import PenaltyCoefficients, min_coefficients
+from .penalty import (PenaltyCoefficients, min_coefficients,
+                      require_admissible)
 from .pool import map_indices
 from .seeding import substream
 from .typical_set import ProbBoundTriple, is_typical, prob_lower_bounds
@@ -62,10 +63,7 @@ class BoundConfig:
         if not 0.0 < self.tau < math.inf:
             raise ValueError(
                 f"tau must be positive and finite, got {self.tau}")
-        if self.order.lam > 1.0 - self.beta + 1e-12:
-            raise InvalidOrderError(
-                f"inadmissible pair: lam={self.order.lam} exceeds "
-                f"1 - beta = {1.0 - self.beta}")
+        require_admissible(self.order, self.beta)
 
 
 @dataclass(frozen=True)
@@ -206,6 +204,10 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
 
     Raises
     ------
+    TypeError
+        If ``num_mc`` is not an integer.
+    ValueError
+        If ``num_mc`` < 100; both before any draw.
     InsufficientAcceptanceError
         If fewer than 10 draws are accepted.
     InvalidCertificateError
@@ -214,6 +216,7 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
         main term is not finite, or the typical-set bound is vacuous at
         the problem size (the closed-form penalty term would be undefined).
     """
+    num_mc = operator.index(num_mc)
     if num_mc < 100:
         raise ValueError(f"num_mc must be >= 100, got {num_mc}")
 

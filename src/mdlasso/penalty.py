@@ -89,6 +89,14 @@ class PenaltyCoefficients:
                 f"penalty coefficients must be positive, got ({self.mu1}, {self.mu2})")
 
 
+def require_admissible(order: DivergenceOrder, beta: float) -> None:
+    """Raise ``InvalidOrderError`` unless lam <= 1 - beta (to 1e-12), the
+    pairs for which the risk and regret bounds hold."""
+    if order.lam > 1.0 - beta + 1e-12:
+        raise InvalidOrderError(f"inadmissible pair: lam={order.lam} exceeds "
+                                f"1 - beta = {1.0 - beta}")
+
+
 def min_coefficients(n: int, p: int, order: DivergenceOrder, beta: float,
                      eps: float, sigma2: float) -> PenaltyCoefficients:
     """Minimal (mu1, mu2) for which the random-design bounds hold.
@@ -118,9 +126,7 @@ def min_coefficients(n: int, p: int, order: DivergenceOrder, beta: float,
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if order.lam > 1.0 - beta + 1e-12:
-        raise InvalidOrderError(
-            f"order lam={order.lam} exceeds 1 - beta = {1.0 - beta}")
+    require_admissible(order, beta)
     mu1_sq = math.log(4.0 * p) / (n * beta * sigma2 * (1.0 - eps)) \
         * (order.lam + 8.0 * math.sqrt(1.0 - eps ** 2)) / 4.0
     if not 0.0 < mu1_sq < math.inf:

@@ -14,7 +14,11 @@ refuses). The caller sets its OpenBLAS to one thread before it forks and
 back once every worker is reaped, so each worker inherits one BLAS thread.
 A worker does not set the count itself: that starts an OpenBLAS server
 thread, which spins on the worker's CPU for about 0.1 s and was seen to
-halve the worker's speed. Before it forks, the caller writes every index
+halve the worker's speed. The caller's restore starts that spin in the
+caller, as any threaded BLAS call does (0.128 s of caller CPU in a 0.3 s
+sleep after a map, 0.123 s after a lone 300 x 300 product, 2 vCPUs), so
+it only moves forward a cost the caller's next threaded product pays
+anyway. Before it forks, the caller writes every index
 once, as an 8-byte word, to a temporary file and rewinds it; the workers
 share that open file, and with it one file offset. Linux locks a shared
 regular file's offset for each read, so each worker's 8-byte ``os.read``

@@ -16,6 +16,7 @@ package's process pool, whose rules ``pool`` states.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,6 +52,8 @@ def default_theta_star(p: int, sparsity: int = DEFAULT_SPARSITY,
 class ExperimentConfig:
     """One experiment, resolved. Its init fields are the config document's
     keys (``lam`` read as ``lambda``), and construction checks every range.
+    The integer fields ``n``, ``p``, ``seed``, ``num_trials`` and
+    ``sparsity`` refuse a float with ``TypeError``.
 
     Construction sets ``theta_star`` to ``default_theta_star`` (``sparsity``
     defaults to min(10, p)) and derives whichever of ``snr`` and ``sigma2``
@@ -79,6 +82,10 @@ class ExperimentConfig:
     _coeffs: PenaltyCoefficients = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("n", "p", "seed", "num_trials", "sparsity"):
+            value = getattr(self, name)
+            if value is not None:  # a float would be truncated or fail later
+                object.__setattr__(self, name, operator.index(value))
         if self.n < 1 or self.p < 1:
             raise ValueError(f"n and p must be >= 1, got n={self.n}, p={self.p}")
         if not 0 <= self.seed < 2 ** 64:

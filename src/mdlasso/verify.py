@@ -2,8 +2,10 @@
 
 Each check exercises one documented invariant of a module at a scale chosen
 to finish in seconds, and is the one home of that randomized property sweep:
-the test suite runs every entry of ``CHECKS``. A check passes by returning
-normally; any exception marks it failed. One line is printed per check.
+the test suite runs every entry of ``CHECKS``. ``CHECKS`` is the module's
+``check_*`` functions in definition order; ``check_<module>_<rest>`` is
+named ``<module>.<rest>``. A check passes by returning normally; any
+exception marks it failed. One line is printed per check.
 
 ``random_spd``, ``random_model`` and ``fd_renyi`` are the shared generators
 and finite-difference oracle; the tests import them from here.
@@ -11,7 +13,9 @@ and finite-difference oracle; the tests import them from here.
 helpers that only these checks call are imported from their modules.
 """
 
+import inspect
 import math
+import re
 
 import numpy as np
 
@@ -97,7 +101,7 @@ def check_model_sqrt_roundtrip():
         assert min_eigenvalue(R) > 0.0
 
 
-def check_model_rayleigh():
+def check_model_rayleigh_bound():
     rng = substream(103)
     S = random_spd(rng, 6) - 3.0 * np.eye(6)
     lo = min_eigenvalue(S)
@@ -106,7 +110,7 @@ def check_model_rayleigh():
         assert lo <= (v @ S @ v) / (v @ v) + 1e-9
 
 
-def check_model_monotone_in_order():
+def check_model_order_monotonicity():
     rng = substream(104)
     grid = np.arange(0.05, 0.96, 0.05)
     for _ in range(50):
@@ -345,7 +349,7 @@ def check_typical_set_simplification():
         assert 0.5 * (eps - math.log1p(eps)) >= eps ** 2 / 7.0
 
 
-def check_typical_set_chain():
+def check_typical_set_bound_chain():
     for n in (10, 100, 1000):
         for p in (1, 10, 1000):
             for eps in np.arange(0.1, 0.95, 0.1):
@@ -469,7 +473,7 @@ def check_bounds_floor_identity():
     assert cert.bound == cert.main_term + cfg.tau
 
 
-def check_bounds_main_term_is_minimum():
+def check_bounds_main_term_minimum():
     rng = substream(119)
     model, prob = _small_problem(rng)
     report = lasso.solve(prob, tol=1e-9)
@@ -481,7 +485,7 @@ def check_bounds_main_term_is_minimum():
             assert probe_val >= main - 1e-9
 
 
-def check_bounds_alpha_monotone_in_probability():
+def check_bounds_alpha_monotone():
     a = divergences.AlphaOrder(0.2)
     grid = np.linspace(math.exp(-1.0) + 1e-3, 1.0, 100)
     vals = [bounds.alpha_bound_at_probability(0.7, 0.55, a, float(pt))
@@ -529,36 +533,10 @@ def check_sim_dominance_floor():
     assert typ >= floor.chain.exact_product - 3 * se_t
 
 
-CHECKS = [
-    ("model.sqrt_roundtrip", check_model_sqrt_roundtrip),
-    ("model.rayleigh_bound", check_model_rayleigh),
-    ("model.order_monotonicity", check_model_monotone_in_order),
-    ("model.gradient_fd", check_model_gradient_fd),
-    ("model.hessian_fd", check_model_hessian_fd),
-    ("model.hessian_domination", check_model_hessian_domination),
-    ("model.tilted_consistency", check_model_tilted_consistency),
-    ("model.kl_limit", check_model_kl_limit),
-    ("model.draw_law", check_model_draw_law),
-    ("divergences.mc_agreement", check_divergences_mc_agreement),
-    ("divergences.alpha_properties", check_divergences_alpha_properties),
-    ("penalty.kraft", check_penalty_kraft),
-    ("penalty.rounding_moments", check_penalty_rounding_moments),
-    ("penalty.ratio_consistency", check_penalty_ratio_consistency),
-    ("typical_set.simplification", check_typical_set_simplification),
-    ("typical_set.bound_chain", check_typical_set_chain),
-    ("typical_set.membership_freq", check_typical_set_membership_freq),
-    ("typical_set.gamma_tail", check_typical_set_gamma_tail),
-    ("typical_set.column_decomposition", check_typical_set_column_decomposition),
-    ("lasso.descent_and_kkt", check_lasso_descent_and_kkt),
-    ("lasso.orthonormal_closed_form", check_lasso_orthonormal_closed_form),
-    ("lasso.paper_scale", check_lasso_paper_scale),
-    ("bounds.floor_identity", check_bounds_floor_identity),
-    ("bounds.main_term_minimum", check_bounds_main_term_is_minimum),
-    ("bounds.alpha_monotone", check_bounds_alpha_monotone_in_probability),
-    ("sim.determinism", check_sim_determinism),
-    ("sim.hellinger_chain", check_sim_hellinger_chain),
-    ("sim.dominance_floor", check_sim_dominance_floor),
-]
+CHECKS = [(re.sub("^check_(typical_set|[a-z]+)_", r"\1.", name), fn)
+          for name, fn in list(globals().items())
+          if name.startswith("check_") and inspect.isfunction(fn)
+          and fn.__module__ == __name__]
 
 
 def run_verification() -> int:

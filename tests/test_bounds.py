@@ -31,7 +31,7 @@ def small_instance(seed=0, n=40, p=8, snr=1.5, lam=0.5, beta=0.5, eps=0.5,
 
 class TestBoundConfig:
     def test_rejects_inadmissible_pair(self):
-        with pytest.raises(InvalidOrderError):
+        with pytest.raises(InvalidOrderError, match="^inadmissible pair: "):
             BoundConfig(DivergenceOrder(0.6), 0.5, 0.5, 0.03)
 
     def test_boundary_pair_allowed(self):
@@ -96,8 +96,6 @@ class TestProbCurve:
             pt = probability_floor(100, 50, eps, 0.1, 0.4)
             assert pt.chain == prob_lower_bounds(100, 50, eps)
 
-
-class TestRegretCertificate:
     def test_large_tau_floor_approaches_exact_product(self):
         floor = probability_floor(40, 8, 0.5, 100.0, 0.5)
         triple = prob_lower_bounds(40, 8, 0.5)
@@ -107,6 +105,8 @@ class TestRegretCertificate:
         floor = probability_floor(40, 8, 0.5, 0.03, 0.5)
         assert floor.kappa == pytest.approx(min(0.5 ** 2 / 7.0, 0.03 * 0.5))
 
+
+class TestRegretCertificate:
     def test_does_not_compute_the_floor(self, monkeypatch):
         model, prob, cfg = small_instance(seed=5)
         theta_hat = solve(prob).theta_hat
@@ -158,11 +158,6 @@ class TestRegretCertificate:
                                                   theta_hat)
         with pytest.raises(TypeError):
             regret_certificate(prob, model, cfg)
-
-    def test_vacuous_flagged(self):
-        floor = probability_floor(40, 8, 0.1, 0.03, 0.5)
-        assert floor.vacuous
-        assert floor.floor == 0.0
 
 
 class TestRiskBoundRhs:
@@ -247,8 +242,20 @@ class TestRiskBoundRhs:
     def test_rejects_small_num_mc(self):
         model = GaussianLinearModel(np.zeros(2), 1.0)
         cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
-        with pytest.raises(ValueError):
-            risk_bound_rhs(model, cfg, lambda rng: None, num_mc=99, seed=0)
+        # a float count is refused before any draw, also one past the minimum
+        for num_mc, error in ((99, ValueError), (99.0, TypeError),
+                              (150.0, TypeError)):
+            with pytest.raises(error):
+                risk_bound_rhs(model, cfg, lambda rng: None, num_mc=num_mc,
+                               seed=0)
+
+    def test_rejects_a_vacuous_typical_set_bound(self):
+        cfg = ExperimentConfig(n=10, p=2, seed=3, snr=1.0, eps=0.5,
+                               sparsity=1)
+        with pytest.raises(InvalidCertificateError, match=(
+                "^typical-set bound is vacuous at n=10, eps=0.5$")):
+            risk_bound_rhs(cfg.build_model(), cfg.bound_config(),
+                           cfg.draw_problem, num_mc=100, seed=cfg.seed)
 
 
 class TestAlphaRiskBound:

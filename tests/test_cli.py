@@ -270,6 +270,13 @@ class TestSubcommands:
         assert self.assert_config_error(capsys, argv, out) == (
             "config error: override 'n=ten': n: expected int, got 'ten'")
 
+    def test_override_without_equals(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--config", self.write_config(tmp_path),
+                "--out", str(out), "--set", "seed"]
+        assert self.assert_config_error(capsys, argv, out) == (
+            "config error: --set expects key=value, got 'seed'")
+
     def test_missing_config_file(self, tmp_path, capsys):
         # absent, and not UTF-8 (a Latin-1 comment)
         latin = tmp_path / "latin.cfg"
@@ -374,7 +381,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("flag, value", [
         ("--tau", "-1"), ("--tau", "nan"), ("--tau", "inf"), ("--n", "0"),
         ("--beta", "1.5"), ("--eps-min", "0"), ("--eps-max", "1"),
-        ("--eps-max", "inf"),
+        ("--eps-max", "inf"), ("--steps", "1"),
         ("--steps", "1000000000000000")])  # past the address space
     def test_prob_curve_range_errors(self, tmp_path, capsys, flag, value):
         args = {"--n": "50", "--p": "20", "--tau": "0.2", "--beta": "0.5",

@@ -3,8 +3,8 @@ name in it has a caller, and the README's library example runs on it.
 
 A function deleted from a module but still exported fails here, not only
 at ``from mdlasso import *``. So does an exported name that only its own
-unit tests or the invariant checks of ``verify`` call: a lemma helper
-stays in its module and out of ``__all__``.
+unit tests, the invariant checks of ``verify`` or a type hint call: a
+lemma helper stays in its module and out of ``__all__``.
 """
 
 import ast
@@ -30,7 +30,8 @@ def test_all_is_the_public_namespace():
 
 def _loads(tree, modules):
     """Names loaded as ``name`` or ``<module>.name``, each outside the body
-    of a def or class of that same name."""
+    of a def or class of that same name and outside every annotation: a
+    type hint is not a caller."""
     found = set()
 
     def visit(node, enclosing):
@@ -48,8 +49,11 @@ def _loads(tree, modules):
             name = None
         if name is not None and name not in enclosing:
             found.add(name)
+        hints = (getattr(node, "annotation", None),
+                 getattr(node, "returns", None))
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            if child not in hints:
+                visit(child, enclosing)
 
     visit(tree, frozenset())
     return found

@@ -116,7 +116,7 @@ class TestMinCoefficients:
         assert limit == pytest.approx((lam + 8.0) / 4.0, rel=1e-9)
 
     def test_rejects_inadmissible_order(self):
-        with pytest.raises(InvalidOrderError):
+        with pytest.raises(InvalidOrderError, match="^inadmissible pair: "):
             min_coefficients(100, 50, DivergenceOrder(0.6), 0.5, 0.5, 1.0)
 
     @pytest.mark.parametrize("kwargs", [

@@ -70,6 +70,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="magnitude"):
             ExperimentConfig(n=10, p=5, seed=1, snr=1.0, magnitude=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("n", 20.0), ("p", 10.0), ("num_trials", 3.0),
+        ("num_trials", 2.5), ("sparsity", 2.0)])
+    def test_rejects_a_float_integer_field(self, name, value):
+        # seed=1.5 would run seed 1's trials; the others would fail later
+        kwargs = dict(n=20, p=10, seed=1, snr=1.0, num_trials=3, sparsity=2)
+        with pytest.raises(TypeError, match="integer"):
+            ExperimentConfig(**{**kwargs, name: value})
+
 
 class TestDrawProblem:
     @pytest.mark.parametrize("kwargs,seed,trial", [

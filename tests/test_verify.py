@@ -4,8 +4,6 @@
 entry is its own test item here, named after the check.
 """
 
-import inspect
-
 import pytest
 
 from mdlasso import verify
@@ -15,12 +13,3 @@ from mdlasso import verify
                          ids=[name for name, _ in verify.CHECKS])
 def test_check(check):
     check()
-
-
-def test_every_check_registered_once():
-    names = [name for name, _ in verify.CHECKS]
-    assert len(set(names)) == len(names)
-    defined = sorted(
-        name for name, fn in inspect.getmembers(verify, inspect.isfunction)
-        if name.startswith("check_") and fn.__module__ == verify.__name__)
-    assert sorted(fn.__name__ for _, fn in verify.CHECKS) == defined
