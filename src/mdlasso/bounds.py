@@ -21,9 +21,6 @@ penalty -p log(1 - 2 e^{-D}) / (n beta).
 
 The true typical-set probability P is not computed here, although at
 cov = I it is a product of per-column chi-square probabilities.
-``alpha_bound_at_probability`` takes P as given, and its caller decides
-what P is. A lower bound on P in its place is conservative while that
-lower bound is >= 1/e, where P log(1/P) and (1 - P) are both decreasing.
 """
 
 import math
@@ -33,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import AlphaOrder
 from .errors import InsufficientAcceptanceError, InvalidCertificateError
 from .lasso import LassoProblem, objective, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
@@ -261,20 +257,3 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
         renyi_std_error=renyi_se,
     )
 
-
-def alpha_bound_at_probability(redundancy_estimate: float, beta: float,
-                               a: AlphaOrder, p_typical: float) -> float:
-    """Alpha-divergence risk bound evaluated at a given typical-set probability.
-
-    redundancy / lam_a + P log(1/P) / (lam_a beta) + (1 - P) / (lam_a (lam_a + alpha))
-    with lam_a = (1 - alpha)/2. At beta = (1 + alpha)/2 (the tightest
-    admissible choice) the middle denominator equals lam_a (lam_a + alpha).
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if not 0.0 < p_typical <= 1.0:
-        raise ValueError(f"p_typical must lie in (0, 1], got {p_typical}")
-    lam_a = (1.0 - a.alpha) / 2.0
-    middle = p_typical * math.log(1.0 / p_typical) / (lam_a * beta)
-    tail = (1.0 - p_typical) / (lam_a * (lam_a + a.alpha))
-    return redundancy_estimate / lam_a + middle + tail

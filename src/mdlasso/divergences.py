@@ -6,8 +6,6 @@ t = (theta - theta_star)^T cov (theta - theta_star)):
     KL             t / (2 sigma2)
     Bhattacharyya  renyi_div at lam = 0.5
     Hellinger^2    2 (1 - exp(-d_0.5 / 2)), range [0, 2]
-    alpha          (4 / (1 - alpha^2)) (1 - Z),  Z = sqrt(c / (c + t)),
-                   c = 4 sigma2 / (1 - alpha^2), range [0, 4/(1-alpha^2)]
 
 The Monte-Carlo estimator evaluates the defining expectation of the Renyi
 divergence directly and is the independent cross-check for every closed form
@@ -21,12 +19,11 @@ log space shifted by their maximum, so large displacements cannot overflow.
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import InvalidOrderError, NumericalFailureError
+from .errors import NumericalFailureError
 from .model import DivergenceOrder, GaussianLinearModel, displacement_energy, renyi_div
 from .pool import map_indices
 from .seeding import chunk_stream
@@ -34,18 +31,6 @@ from .seeding import chunk_stream
 _MC_CHUNK = 1 << 14
 # Samples per chunk of renyi_mc; each chunk draws from its own stream
 # (seeding.chunk_stream), and its two per-sample vectors take 256 KiB.
-
-
-@dataclass(frozen=True)
-class AlphaOrder:
-    """Order alpha of the bounded alpha-divergence, restricted to (-1, 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not -1.0 < self.alpha < 1.0:
-            raise InvalidOrderError(
-                f"alpha must lie in (-1, 1), got {self.alpha}")
 
 
 class McEstimate(NamedTuple):
@@ -171,15 +156,3 @@ def hellinger_sq(model: GaussianLinearModel, theta: np.ndarray) -> float:
     d = bhattacharyya(model, theta)
     return -2.0 * math.expm1(-d / 2.0)
 
-
-def alpha_div(model: GaussianLinearModel, theta: np.ndarray,
-              a: AlphaOrder) -> float:
-    """Bounded alpha-divergence, (4 / (1 - alpha^2)) (1 - Z).
-
-    At alpha = 0 this equals twice the squared Hellinger distance exactly.
-    """
-    denom = 1.0 - a.alpha ** 2
-    c = 4.0 * model.sigma2 / denom
-    t = displacement_energy(model, theta)
-    one_minus_z = -math.expm1(-0.5 * math.log1p(t / c))
-    return (4.0 / denom) * one_minus_z

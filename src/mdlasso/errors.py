@@ -6,7 +6,7 @@ class MdlassoError(Exception):
 
 
 class SingularMatrixError(MdlassoError, ValueError):
-    """A matrix (or rank-one update) is singular beyond the clamp threshold."""
+    """A matrix is singular beyond the clamp threshold."""
 
 
 class InvalidOrderError(MdlassoError, ValueError):

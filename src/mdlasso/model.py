@@ -9,8 +9,8 @@ closed form
     d_lam = log(1 + t / c) / (2 (1 - lam)),
 
 where t = (theta - theta_star)^T cov (theta - theta_star) is the displacement
-energy and c = sigma2 / (lam (1 - lam)). The gradient, Hessian, and the
-exponential-tilt quantities behind this closed form are exposed below.
+energy and c = sigma2 / (lam (1 - lam)). Its gradient and Hessian are
+exposed below.
 
 All divergences here are single-sample; with i.i.d. draws the n-sample value
 is exactly n times the single-sample value.
@@ -109,13 +109,12 @@ class GaussianLinearModel:
 
     Immutable after construction. ``sqrt_cov`` (the symmetric square root of
     the feature covariance) is computed once at construction for
-    ``draw_features`` and ``tilted``; the divergence closed forms read
-    ``cov``.
+    ``draw_features``; the divergence closed forms read ``cov``.
 
     ``cov`` is None (the default) for the identity covariance, or a p x p
     matrix. None is kept as ``cov = sqrt_cov = None``, with no p x p array
     behind it: the draws are the plain standard normals, the divergences
-    use tb in place of cov @ tb, and only ``tilted``, ``renyi_hess`` and
+    use tb in place of cov @ tb, and only ``renyi_hess`` and
     ``hessian_bound_gap``, whose results are p x p matrices, build the
     identity when they are called. A matrix, the identity included, is
     checked for symmetry, kept read-only in ``cov``, and factored by
@@ -174,35 +173,6 @@ class GaussianLinearModel:
         return X @ self.theta_star + np.sqrt(self.sigma2) * rng.standard_normal(n)
 
 
-@dataclass(frozen=True, eq=False)
-class TiltedGaussian:
-    """Exponentially tilted feature law underlying the divergence closed form.
-
-    Attributes
-    ----------
-    scale : float
-        c = sigma2 / (lam (1 - lam)).
-    displacement : ndarray
-        Whitened displacement sqrt_cov @ (theta - theta_star).
-    normalizer : float
-        sqrt(c / (c + ||displacement||^2)), in (0, 1].
-    covariance : ndarray
-        Feature covariance under the tilt,
-        cov - (cov tb)(cov tb)^T / (c + ||displacement||^2) with
-        tb = theta - theta_star; equals the inverse of
-        cov^{-1} + tb tb^T / c.
-    interpolated_coeffs : ndarray
-        lam * theta_star + (1 - lam) * theta, the conditional mean
-        coefficients of the tilted response law.
-    """
-
-    scale: float
-    displacement: np.ndarray
-    normalizer: float
-    covariance: np.ndarray
-    interpolated_coeffs: np.ndarray
-
-
 def tilt_scale(model: GaussianLinearModel, order: DivergenceOrder) -> float:
     """c = sigma2 / (lam (1 - lam))."""
     return model.sigma2 / (order.lam * (1.0 - order.lam))
@@ -215,10 +185,9 @@ def _displacement(model: GaussianLinearModel, theta: np.ndarray) -> np.ndarray:
     return theta - model.theta_star
 
 
-def _times_cov(model: GaussianLinearModel, v: np.ndarray,
-               matrix: Optional[np.ndarray]) -> np.ndarray:
-    """matrix @ v for matrix cov or sqrt_cov; v itself when both are I."""
-    return v if model.cov is None else matrix @ v
+def _times_cov(model: GaussianLinearModel, v: np.ndarray) -> np.ndarray:
+    """cov @ v; v itself when cov is None (the identity)."""
+    return v if model.cov is None else model.cov @ v
 
 
 def _cov_matrix(model: GaussianLinearModel) -> np.ndarray:
@@ -229,26 +198,7 @@ def _cov_matrix(model: GaussianLinearModel) -> np.ndarray:
 def displacement_energy(model: GaussianLinearModel, theta: np.ndarray) -> float:
     """(theta - theta_star)^T cov (theta - theta_star), i.e. ||whitened displacement||^2."""
     tb = _displacement(model, theta)
-    return float(tb @ _times_cov(model, tb, model.cov))
-
-
-def tilted(model: GaussianLinearModel, theta: np.ndarray,
-           order: DivergenceOrder) -> TiltedGaussian:
-    """All tilted-distribution quantities at (theta, order)."""
-    lam = order.lam
-    c = tilt_scale(model, order)
-    tb = _displacement(model, theta)
-    tbp = _times_cov(model, tb, model.sqrt_cov)
-    t = float(tbp @ tbp)
-    u = _times_cov(model, tb, model.cov)
-    cov_tilted = _cov_matrix(model) - np.outer(u, u) / (c + t)
-    return TiltedGaussian(
-        scale=c,
-        displacement=tbp,
-        normalizer=float(np.sqrt(c / (c + t))),
-        covariance=cov_tilted,
-        interpolated_coeffs=lam * model.theta_star + (1.0 - lam) * theta,
-    )
+    return float(tb @ _times_cov(model, tb))
 
 
 def renyi_div(model: GaussianLinearModel, theta: np.ndarray,
@@ -265,7 +215,7 @@ def renyi_grad(model: GaussianLinearModel, theta: np.ndarray,
     lam = order.lam
     c = tilt_scale(model, order)
     tb = _displacement(model, theta)
-    u = _times_cov(model, tb, model.cov)
+    u = _times_cov(model, tb)
     t = float(tb @ u)
     return (lam / model.sigma2) * (c / (c + t)) * u
 
@@ -280,7 +230,7 @@ def renyi_hess(model: GaussianLinearModel, theta: np.ndarray,
     lam = order.lam
     c = tilt_scale(model, order)
     tb = _displacement(model, theta)
-    u = _times_cov(model, tb, model.cov)
+    u = _times_cov(model, tb)
     t = float(tb @ u)
     a = (lam / model.sigma2) * (c / (c + t))
     b = (2.0 * lam / model.sigma2) * (c / (c + t) ** 2)

@@ -21,6 +21,7 @@ whose beta-weighted exponential sum over all of Z^p has the closed form
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,8 @@ def min_coefficients(n: int, p: int, order: DivergenceOrder, beta: float,
 
     Raises
     ------
+    TypeError
+        If n or p is not an integer (``200.5``, say).
     InvalidOrderError
         If lam > 1 - beta (outside the admissible range of the bounds).
     ValueError
@@ -118,6 +121,7 @@ def min_coefficients(n: int, p: int, order: DivergenceOrder, beta: float,
         when it is so large or so small for this n that mu1^2 rounds to 0
         or overflows.
     """
+    n, p = operator.index(n), operator.index(p)
     if n < 1 or p < 1:
         raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
     if not 0.0 < beta < 1.0:

@@ -29,13 +29,13 @@ index. A worker sends back one pickled list of ``(index, value)`` pairs on
 a pipe of its own, and the caller takes the pipes in the order the workers
 finish. A map of 100 no-op indices took a median 11-14 ms in a fresh
 process on a 2-vCPU guest (two sets of ten runs). The calls run in-process
-instead when that is one worker, without fork, when the caller runs other
-Python threads or is a worker of this pool or of a daemonic
-``multiprocessing`` one, and when no OpenBLAS is found whose thread count
-could be read and set. The caller flushes ``sys.stdout`` and
-``sys.stderr`` before it forks, else each worker would write the caller's
-buffered text again; each worker flushes them before its ``os._exit``,
-which would drop what it wrote.
+instead when that is at most one worker (a ``count`` <= 0 maps nothing),
+without fork, when the caller runs other Python threads or is a worker of
+this pool or of a daemonic ``multiprocessing`` one, and when no OpenBLAS
+is found whose thread count could be read and set. The caller flushes
+``sys.stdout`` and ``sys.stderr`` before it forks, else each worker would
+write the caller's buffered text again; each worker flushes them before
+its ``os._exit``, which would drop what it wrote.
 
 An exception in a worker is re-raised with its type (as a ``RuntimeError``
 with its repr if it does not pickle), and that worker moves the shared
@@ -73,11 +73,12 @@ def usable_cpus() -> int:
 
 def _worker_count(count: int) -> int:
     """How many workers ``map_indices`` forks, 1 meaning it maps in-process:
-    the CPUs this process may run on, capped at ``count``; 1 without fork,
-    with other Python threads (a lock one holds stays held in the child),
-    in a worker of this pool or a daemonic ``multiprocessing`` one (a pool
-    in each worker of another multiplies the processes), and when no
-    OpenBLAS is found whose thread count could be read and set."""
+    the CPUs this process may run on, capped at ``count`` and at least 1;
+    1 without fork, with other Python threads (a lock one holds stays held
+    in the child), in a worker of this pool or a daemonic
+    ``multiprocessing`` one (a pool in each worker of another multiplies
+    the processes), and when no OpenBLAS is found whose thread count could
+    be read and set."""
     mp = sys.modules.get("multiprocessing")
     if (_in_worker
             or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
@@ -85,9 +86,7 @@ def _worker_count(count: int) -> int:
             or (mp is not None and mp.current_process().daemon)):
         return 1
     workers = min(usable_cpus(), count)
-    if workers == 1 or _blas_threads() is None:
-        return 1
-    return workers
+    return 1 if workers <= 1 or _blas_threads() is None else workers
 
 
 # OpenBLAS's thread-count setter under the names its builds export; the

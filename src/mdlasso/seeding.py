@@ -1,6 +1,7 @@
 """Deterministic RNG substreams.
 
-Every randomized routine in the package takes an explicit integer seed and,
+Every randomized routine in the package takes an explicit integer seed
+(both generators below refuse a float seed or id with ``TypeError``) and,
 where it owns several independent sources of randomness, derives one
 substream per (seed, stream-id) path. Substreams are independent of
 scheduling: the generator for a given path is the same no matter how many
@@ -17,6 +18,8 @@ for every path of at most two ids, and of three when s < 2^32; for a wider
 seed, chunk c is ``substream(s, 0, 0, c)``.
 """
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -29,7 +32,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     that any Python int is accepted. Trailing zero identifiers can leave
     the stream unchanged (see the module docstring).
     """
-    entropy = [int(seed) & _MASK64] + [int(x) & _MASK64 for x in path]
+    entropy = [operator.index(x) & _MASK64 for x in (seed, *path)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -37,4 +40,5 @@ def chunk_stream(seed: int, chunk: int) -> np.random.Generator:
     """Generator for chunk ``chunk`` of a sample drawn in independent chunks:
     child ``chunk`` of ``SeedSequence(seed)`` in numpy's spawn tree."""
     return np.random.default_rng(
-        np.random.SeedSequence(int(seed) & _MASK64, spawn_key=(int(chunk),)))
+        np.random.SeedSequence(operator.index(seed) & _MASK64,
+                               spawn_key=(operator.index(chunk),)))

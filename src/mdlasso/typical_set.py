@@ -22,6 +22,7 @@ simplification of D/n on all of (0, 1].
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,6 +86,7 @@ def sanov_exponent(n: int, eps: float) -> float:
     The lower tail's exponent (n/2)(-eps - log(1 - eps)) dominates it for
     every eps in (0, 1), so 2 e^{-D} bounds both tails together.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= eps < 1.0:
@@ -94,6 +96,7 @@ def sanov_exponent(n: int, eps: float) -> float:
 
 def prob_lower_bounds(n: int, p: int, eps: float) -> ProbBoundTriple:
     """The chained typical-set probability lower bounds at (n, p, eps)."""
+    n, p = operator.index(n), operator.index(p)
     if n < 1 or p < 1:
         raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
     if not 0.0 < eps < 1.0:

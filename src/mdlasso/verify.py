@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds, divergences, lasso, penalty, sim, typical_set
 from .model import (DivergenceOrder, GaussianLinearModel, hessian_bound_gap,
                     min_eigenvalue, renyi_div, renyi_grad, renyi_hess,
-                    sqrt_sym, tilted)
+                    sqrt_sym)
 from .pool import map_indices
 from .seeding import substream
 
@@ -156,19 +156,6 @@ def check_model_hessian_domination():
         assert gap >= -1e-8, f"gap {gap:.3e}"
 
 
-def check_model_tilted_consistency():
-    rng = substream(108)
-    for _ in range(50):
-        m = random_model(rng)
-        theta = m.theta_star + rng.standard_normal(m.dim)
-        order = DivergenceOrder(float(rng.uniform(0.05, 0.95)))
-        tq = tilted(m, theta, order)
-        tb = theta - m.theta_star
-        want = np.linalg.inv(np.linalg.inv(m.cov) + np.outer(tb, tb) / tq.scale)
-        err = np.linalg.norm(tq.covariance - want) / np.linalg.norm(want)
-        assert err <= 1e-9, f"tilted covariance mismatch {err:.3e}"
-
-
 def check_model_kl_limit():
     rng = substream(109)
     for _ in range(20):
@@ -267,25 +254,14 @@ def check_divergences_mc_agreement():
             f"instance {i}, order {order.lam}: {gap:.3e} > 3 SE"
 
 
-def check_divergences_alpha_properties():
+def check_divergences_hellinger_bhattacharyya():
     rng = substream(111)
     for _ in range(1000):
         m = random_model(rng)
         scale = 10 ** rng.uniform(-2, 4)
         theta = m.theta_star + rng.standard_normal(m.dim) * scale
-        alpha = float(rng.uniform(-0.99, 0.99))
-        a = divergences.AlphaOrder(alpha)
-        val = divergences.alpha_div(m, theta, a)
-        assert 0.0 <= val <= 4.0 / (1.0 - alpha ** 2) + 1e-12
-        lam = DivergenceOrder((1.0 - alpha) / 2.0)
-        slack = renyi_div(m, theta, lam) - (1.0 - alpha) / 2.0 * val
-        assert slack >= -1e-12, f"order relation violated by {slack:.3e}"
-        h2 = divergences.hellinger_sq(m, theta)
-        d0 = divergences.alpha_div(m, theta, divergences.AlphaOrder(0.0))
-        assert abs(d0 - 2.0 * h2) <= 1e-12 * max(1.0, 2.0 * h2), \
-            f"alpha=0 gives {d0!r}, twice Hellinger {2.0 * h2!r}"
         bhatta = divergences.bhattacharyya(m, theta)
-        assert h2 <= bhatta + 1e-12
+        assert divergences.hellinger_sq(m, theta) <= bhatta + 1e-12
         assert bhatta == renyi_div(m, theta, DivergenceOrder(0.5))
 
 
@@ -483,14 +459,6 @@ def check_bounds_main_term_minimum():
             probe = report.theta_hat + rng.standard_normal(prob.p) * radius
             probe_val = bounds.regret_main_term(prob, model.theta_star, probe)
             assert probe_val >= main - 1e-9
-
-
-def check_bounds_alpha_monotone():
-    a = divergences.AlphaOrder(0.2)
-    grid = np.linspace(math.exp(-1.0) + 1e-3, 1.0, 100)
-    vals = [bounds.alpha_bound_at_probability(0.7, 0.55, a, float(pt))
-            for pt in grid]
-    assert all(b <= a_ + 1e-12 for a_, b in zip(vals, vals[1:]))
 
 
 def check_sim_determinism():

@@ -1,5 +1,5 @@
 """Bound evaluator tests: probability floor, regret main term, certificates,
-risk RHS, alpha bound."""
+risk RHS."""
 
 import math
 
@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from mdlasso import bounds as bounds_module
-from mdlasso.bounds import (BoundConfig, alpha_bound_at_probability,
-                            probability_floor, regret_certificate,
-                            regret_main_term, risk_bound_rhs)
-from mdlasso.divergences import AlphaOrder
+from mdlasso.bounds import (BoundConfig, probability_floor,
+                            regret_certificate, regret_main_term,
+                            risk_bound_rhs)
 from mdlasso.errors import (InsufficientAcceptanceError,
                             InvalidCertificateError, InvalidOrderError)
 from mdlasso.lasso import LassoProblem, solve
@@ -78,6 +77,10 @@ class TestProbCurve:
         floors = [probability_floor(200, 1000, float(eps), 0.03, 0.5).floor
                   for eps in grid]
         assert all(b >= a - 1e-12 for a, b in zip(floors, floors[1:]))
+
+    def test_rejects_a_non_integer_n(self):
+        with pytest.raises(TypeError):
+            probability_floor(200.5, 1000, 0.5, 0.03, 0.5)
 
     def test_simplified_floor_closed_form(self):
         # 1 - 2p e^{-n eps^2 / 7} - e^{-tau n beta}, positive at eps = 0.9
@@ -256,11 +259,3 @@ class TestRiskBoundRhs:
                 "^typical-set bound is vacuous at n=10, eps=0.5$")):
             risk_bound_rhs(cfg.build_model(), cfg.bound_config(),
                            cfg.draw_problem, num_mc=100, seed=cfg.seed)
-
-
-class TestAlphaRiskBound:
-    def test_probability_one_limit(self):
-        a = AlphaOrder(0.2)
-        lam_a = (1.0 - 0.2) / 2.0
-        got = alpha_bound_at_probability(0.9, 0.55, a, 1.0)
-        assert got == pytest.approx(0.9 / lam_a, rel=1e-12)

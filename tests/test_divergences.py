@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import mdlasso.divergences as dv
-from mdlasso.divergences import (AlphaOrder, alpha_div, bhattacharyya,
-                                 hellinger_sq, kl_closed, renyi_mc)
-from mdlasso.errors import InvalidOrderError
+from mdlasso.divergences import (bhattacharyya, hellinger_sq, kl_closed,
+                                 renyi_mc)
 from mdlasso.model import DivergenceOrder, GaussianLinearModel, renyi_div
 from mdlasso.seeding import chunk_stream
 from mdlasso.verify import random_spd
@@ -33,13 +32,6 @@ def mc_integrand_mean(model, theta, transform, num, seed):
     log_ratio = (r_true ** 2 - r_theta ** 2) / (2 * model.sigma2)
     vals = transform(log_ratio)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(num))
-
-
-class TestAlphaOrder:
-    @pytest.mark.parametrize("alpha", [-1.0, 1.0, 2.0])
-    def test_rejects_out_of_range(self, alpha):
-        with pytest.raises(InvalidOrderError):
-            AlphaOrder(alpha)
 
 
 class TestRenyiMc:
@@ -152,6 +144,16 @@ class TestRenyiMc:
                          num_samples, seed=0)
 
 
+    def test_seed_must_be_an_integer(self):
+        m = GaussianLinearModel(np.zeros(1), 1.0, np.eye(1))
+        theta = np.array([1.0])
+        with pytest.raises(TypeError):
+            renyi_mc(m, theta, DivergenceOrder(0.5), 1000, seed=2.9)
+        assert renyi_mc(m, theta, DivergenceOrder(0.5), 1000,
+                        seed=np.int64(2)) \
+            == renyi_mc(m, theta, DivergenceOrder(0.5), 1000, seed=2)
+
+
 class TestKlClosed:
     def test_zero_at_truth(self):
         m = GaussianLinearModel(np.array([2.0]), 1.5, np.eye(1))
@@ -208,30 +210,3 @@ class TestHellingerSq:
         m = GaussianLinearModel(np.zeros(1), 1.0, np.eye(1))
         val = hellinger_sq(m, np.array([1e4]))  # displacement energy 1e8
         assert 1.999 < val <= 2.0
-
-
-class TestAlphaDiv:
-    def test_zero_at_truth(self):
-        m = GaussianLinearModel(np.zeros(2), 1.0, np.eye(2))
-        assert alpha_div(m, m.theta_star, AlphaOrder(0.3)) == 0.0
-
-    def test_worked_instance_with_mc(self):
-        # closed form 1.301712287901576 at alpha=0.5, energy 4, sigma2=1.
-        # The Monte-Carlo integrand (4/0.75)(1 - e^{0.75 lr}) has a finite
-        # variance only for energy below 4 sigma2 / 3, so the cross-check
-        # runs at energy 1.
-        m = GaussianLinearModel(np.zeros(2), 1.0, np.eye(2))
-        a = AlphaOrder(0.5)
-        got = alpha_div(m, np.array([2.0, 0.0]), a)
-        assert got == pytest.approx(1.301712287901576, rel=1e-12)
-        theta = np.array([1.0, 0.0])
-        mean, se = mc_integrand_mean(
-            m, theta, lambda lr: (4.0 / (1 - 0.25)) * (1.0 - np.exp(0.75 * lr)),
-            100_000, seed=28)
-        assert abs(mean - alpha_div(m, theta, a)) <= 3 * se
-
-    def test_boundedness(self):
-        # extreme displacement saturates but never exceeds the cap
-        m = GaussianLinearModel(np.zeros(1), 1.0, np.eye(1))
-        val = alpha_div(m, np.array([1e4]), AlphaOrder(0.5))
-        assert val <= 4.0 / (1.0 - 0.25)

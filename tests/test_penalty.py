@@ -119,6 +119,11 @@ class TestMinCoefficients:
         with pytest.raises(InvalidOrderError, match="^inadmissible pair: "):
             min_coefficients(100, 50, DivergenceOrder(0.6), 0.5, 0.5, 1.0)
 
+    @pytest.mark.parametrize("n, p", [(200.5, 1000), (200, 1000.0)])
+    def test_rejects_non_integer_sizes(self, n, p):
+        with pytest.raises(TypeError):
+            min_coefficients(n, p, DivergenceOrder(0.5), 0.5, 0.5, 1.0)
+
     @pytest.mark.parametrize("kwargs", [
         dict(n=0, p=10, beta=0.5, eps=0.5, sigma2=1.0),
         dict(n=10, p=0, beta=0.5, eps=0.5, sigma2=1.0),

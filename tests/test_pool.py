@@ -129,6 +129,15 @@ class TestTrialPool:
         assert pool.map_indices(lambda i: (i, os.getpid()), 12) \
             == [(i, os.getpid()) for i in range(12)]
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_empty_count_forks_nobody(self, monkeypatch, count):
+        # in-process whatever the CPU count: no index file, no fork
+        cpus(monkeypatch, 2)
+        pids = forks(monkeypatch)
+        monkeypatch.setattr(tempfile, "TemporaryFile", None)
+        assert pool.map_indices(lambda i: i, count) == []
+        assert pids == []
+
     def test_pool_matches_serial(self, monkeypatch, tmp_path):
         cfg = parse_config(MIXED_DOC)
         cpus(monkeypatch, 1)

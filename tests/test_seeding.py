@@ -43,3 +43,18 @@ def test_chunk_streams_differ_from_short_substream_paths(seed):
         draws = first_draws(chunk_stream(seed, c))
         assert draws not in paths, f"chunk {c} is path {paths[draws]}"
         assert (draws == first_draws(substream(seed, 0, 0, c))) == wide
+
+
+@pytest.mark.parametrize("make", [
+    lambda: substream(1.7), lambda: substream(1, 2.0),
+    lambda: chunk_stream(2.9, 0), lambda: chunk_stream(2, 1.0)])
+def test_float_seed_or_id_is_refused(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_numpy_integer_seeds_name_the_int_streams():
+    assert first_draws(substream(np.int64(5), np.int64(-1))) \
+        == first_draws(substream(5, -1))
+    assert first_draws(chunk_stream(np.int64(-1), np.int64(3))) \
+        == first_draws(chunk_stream(-1, 3))

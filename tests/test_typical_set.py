@@ -79,6 +79,10 @@ class TestSanovExponent:
             quad = n * eps ** 2 / 4.0
             assert sanov_exponent(n, eps) == pytest.approx(quad, rel=2e-3 if eps == 1e-3 else 2e-4)
 
+    def test_rejects_a_non_integer_n(self):
+        with pytest.raises(TypeError):
+            sanov_exponent(200.5, 0.5)
+
 
 class TestProbLowerBounds:
     def test_reference_configuration(self):
@@ -96,4 +100,9 @@ class TestProbLowerBounds:
         assert t.log_exact_product == -math.inf
         assert t.vacuous
         assert t.linearized < 0.0
+
+    @pytest.mark.parametrize("n, p", [(200.5, 1000), (200, 1000.0)])
+    def test_rejects_non_integer_sizes(self, n, p):
+        with pytest.raises(TypeError):
+            prob_lower_bounds(n, p, 0.5)
 
