@@ -24,19 +24,19 @@ cov = I it is a product of per-column chi-square probabilities.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientAcceptanceError, InvalidCertificateError
+from .errors import (InsufficientAcceptanceError, InvalidCertificateError,
+                     require_count, require_positive, require_unit_interval)
 from .lasso import LassoProblem, objective, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
 from .penalty import (PenaltyCoefficients, min_coefficients,
                       require_admissible)
 from .pool import map_indices
-from .seeding import substream
+from .seeding import require_id, substream
 from .typical_set import ProbBoundTriple, is_typical, prob_lower_bounds
 
 _COEFF_RTOL = 1e-9
@@ -52,13 +52,9 @@ class BoundConfig:
     tau: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(
-                f"tau must be positive and finite, got {self.tau}")
+        require_unit_interval("beta", self.beta)
+        require_unit_interval("eps", self.eps)
+        require_positive("tau", self.tau)
         require_admissible(self.order, self.beta)
 
 
@@ -85,10 +81,8 @@ class ProbCurvePoint:
 def probability_floor(n: int, p: int, eps: float, tau: float,
                       beta: float) -> ProbCurvePoint:
     """The regret bound's probability floor at (n, p, eps, tau, beta)."""
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    require_positive("tau", tau)
+    require_unit_interval("beta", beta)
     chain = prob_lower_bounds(n, p, eps)
     tau_term = math.exp(-tau * n * beta)
     raw = chain.exact_product - tau_term
@@ -116,10 +110,10 @@ class RegretCertificate:
 
 def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
                      theta_hat: np.ndarray) -> float:
-    """Value of the infimum in the regret bound, evaluated at the solver output.
-
-    objective(theta_hat) - ||Y - X theta_star||^2 / (2 n sigma2) + mu2.
-    """
+    """The regret bound's bracket at ``theta_hat``, objective(theta_hat) -
+    ||Y - X theta_star||^2 / (2 n sigma2) + mu2. The bound is stated for the
+    bracket's infimum over theta; this value equals it only at the exact
+    minimizer, and at a solver output exceeds it by the suboptimality."""
     theta_star = np.asarray(theta_star, dtype=np.float64).reshape(-1)
     with np.errstate(over="ignore"):  # regret_certificate refuses an inf
         resid_star = prob.Y - prob.X @ theta_star
@@ -201,9 +195,10 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
     Raises
     ------
     TypeError
-        If ``num_mc`` is not an integer.
+        If ``num_mc`` or ``seed`` is not an integer.
     ValueError
-        If ``num_mc`` < 100; both before any draw.
+        If ``num_mc`` < 100 or ``seed`` lies outside [0, 2^64); both
+        before any draw.
     InsufficientAcceptanceError
         If fewer than 10 draws are accepted.
     InvalidCertificateError
@@ -212,9 +207,8 @@ def risk_bound_rhs(model: GaussianLinearModel, config: BoundConfig,
         main term is not finite, or the typical-set bound is vacuous at
         the problem size (the closed-form penalty term would be undefined).
     """
-    num_mc = operator.index(num_mc)
-    if num_mc < 100:
-        raise ValueError(f"num_mc must be >= 100, got {num_mc}")
+    num_mc = require_count("num_mc", num_mc, 100)
+    seed = require_id("seed", seed)
 
     def draw(i: int):
         """None for a rejected draw; main term, divergence, n and p for an

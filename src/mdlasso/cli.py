@@ -36,7 +36,7 @@ from typing import Optional, Sequence, get_args
 import numpy as np
 
 from .bounds import ProbCurvePoint, probability_floor
-from .errors import ConfigError, MdlassoError
+from .errors import ConfigError, MdlassoError, require_count
 from .sim import ExperimentConfig, TrialRecord, run_experiment, run_trial
 
 
@@ -165,13 +165,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_prob_curve(args) -> int:
-    if args.steps < 2:
-        raise ConfigError("--steps must be >= 2")
     if not 0.0 < args.eps_min < args.eps_max < 1.0:
         raise ConfigError(f"need 0 < --eps-min < --eps-max < 1, got "
                           f"--eps-min {args.eps_min}, --eps-max {args.eps_max}")
-    grid = np.linspace(args.eps_min, args.eps_max, args.steps)
     try:
+        grid = np.linspace(args.eps_min, args.eps_max,
+                           require_count("--steps", args.steps, 2))
         points = [probability_floor(args.n, args.p, float(eps), args.tau,
                                     args.beta) for eps in grid]
     except ValueError as exc:

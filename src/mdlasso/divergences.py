@@ -18,15 +18,14 @@ log space shifted by their maximum, so large displacements cannot overflow.
 """
 
 import math
-import operator
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, require_count
 from .model import DivergenceOrder, GaussianLinearModel, displacement_energy, renyi_div
 from .pool import map_indices
-from .seeding import chunk_stream
+from .seeding import chunk_stream, require_id
 
 _MC_CHUNK = 1 << 14
 # Samples per chunk of renyi_mc; each chunk draws from its own stream
@@ -94,17 +93,17 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
     Raises
     ------
     TypeError
-        If ``num_samples`` is not an integer (``1e5``, say).
+        If ``num_samples`` (``1e5``, say) or ``seed`` is not an integer.
     ValueError
         If ``num_samples`` < 1000 (too few for the delta-method error bar),
-        or ``theta`` does not hold p finite entries; both before any draw.
+        ``seed`` lies outside [0, 2^64), or ``theta`` does not hold p
+        finite entries; all before any draw.
     NumericalFailureError
         If the ratio mean is non-positive or non-finite, which cannot happen
         with exact arithmetic and signals an overflow-handling bug.
     """
-    num_samples = operator.index(num_samples)
-    if num_samples < 1000:
-        raise ValueError(f"num_samples must be >= 1000, got {num_samples}")
+    num_samples = require_count("num_samples", num_samples, 1000)
+    seed = require_id("seed", seed)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     p = model.dim
     if theta.size != p:

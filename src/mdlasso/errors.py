@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the parameter rules shared across the package (the
+rule for seeds and stream ids is ``seeding.require_id``)."""
+
+import math
+import operator
 
 
 class MdlassoError(Exception):
@@ -27,3 +31,25 @@ class NumericalFailureError(MdlassoError, RuntimeError):
 
 class ConfigError(MdlassoError, ValueError):
     """A configuration document or override is malformed or out of range."""
+
+
+def require_count(name: str, value: int, minimum: int = 1) -> int:
+    """``value`` as an int of at least ``minimum``: ``TypeError`` for a
+    float, even an integral one, ``ValueError`` for a smaller int."""
+    value = operator.index(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_unit_interval(name: str, value: float) -> None:
+    """``ValueError`` unless 0 < value < 1 (a NaN fails)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def require_positive(name: str, value: float) -> float:
+    """``value`` as a float if 0 < value < inf, else ``ValueError``."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)

@@ -38,11 +38,11 @@ allocates, arrays the size of the nonzero set.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import require_count, require_positive
 from .penalty import PenaltyCoefficients, column_mean_squares, weighted_l1
 
 DEFAULT_TOL = 1e-6
@@ -73,23 +73,20 @@ class LassoProblem:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64).view()
+        mean_sq = column_mean_squares(X)  # rejects a bad shape or column
         Y = np.ascontiguousarray(self.Y, dtype=np.float64).reshape(-1)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if Y.shape[0] != X.shape[0]:
             raise ValueError(
                 f"Y has {Y.shape[0]} entries but X has {X.shape[0]} rows")
-        if not np.isfinite(Y).all():
+        # here and in column_mean_squares ufunc reduces skip ndarray's wrappers
+        if not np.logical_and.reduce(np.isfinite(Y)):
             raise ValueError("Y must be finite")
-        if not 0.0 < self.sigma2 < np.inf:
-            raise ValueError(
-                f"sigma2 must be positive and finite, got {self.sigma2}")
-        mean_sq = column_mean_squares(X)  # rejects zero or non-finite columns
+        sigma2 = require_positive("sigma2", self.sigma2)
         for name, val in (("X", X), ("Y", Y), ("mean_sq", mean_sq),
                           ("w", np.sqrt(mean_sq))):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def n(self) -> int:
@@ -203,11 +200,8 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     bound. Non-convergence within ``max_iter``, an integer >= 1, is reported
     via the ``converged`` flag, not raised.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    max_iter = operator.index(max_iter)  # a float budget is never met
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    require_positive("tol", tol)
+    max_iter = require_count("max_iter", max_iter)  # a float is never met
     X, Y, w = prob.X, prob.Y, prob.w
     Xdot, XTdot, add_reduce = X.dot, X.T.dot, np.add.reduce
     abs_, sign, maximum = np.abs, np.sign, np.maximum

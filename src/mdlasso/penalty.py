@@ -21,12 +21,12 @@ whose beta-weighted exponential sum over all of Z^p has the closed form
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOrderError
+from .errors import (InvalidOrderError, require_count, require_positive,
+                     require_unit_interval)
 from .model import DivergenceOrder
 from .seeding import substream
 
@@ -43,16 +43,17 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If X is not 2-D, or any column is identically zero, holds a
-        non-finite entry, or has a mean square that overflows or that
-        underflows to 0 (entries below ~1e-154 in magnitude).
+        If X is not 2-D or has no rows, or any column is identically zero,
+        holds a non-finite entry, or has a mean square that overflows or
+        that underflows to 0 (entries below ~1e-154 in magnitude).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
-    mean_sq = np.einsum("ij,ij->j", X, X) / X.shape[0]
-    if not (mean_sq.min(initial=np.inf) > 0.0
-            and mean_sq.max(initial=0.0) < np.inf):
+    n = require_count("design matrix rows", X.shape[0])
+    mean_sq = np.einsum("ij,ij->j", X, X) / n
+    if not (np.minimum.reduce(mean_sq, initial=np.inf) > 0.0
+            and np.maximum.reduce(mean_sq, initial=0.0) < np.inf):
         valid = (mean_sq > 0.0) & (mean_sq < np.inf)  # False for NaN too
         j = int(np.argmin(valid))
         if mean_sq[j] != 0.0:
@@ -85,9 +86,8 @@ class PenaltyCoefficients:
     mu2: float
 
     def __post_init__(self):
-        if not (self.mu1 > 0.0 and self.mu2 > 0.0):
-            raise ValueError(
-                f"penalty coefficients must be positive, got ({self.mu1}, {self.mu2})")
+        require_positive("mu1", self.mu1)
+        require_positive("mu2", self.mu2)
 
 
 def require_admissible(order: DivergenceOrder, beta: float) -> None:
@@ -121,15 +121,10 @@ def min_coefficients(n: int, p: int, order: DivergenceOrder, beta: float,
         when it is so large or so small for this n that mu1^2 rounds to 0
         or overflows.
     """
-    n, p = operator.index(n), operator.index(p)
-    if n < 1 or p < 1:
-        raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    n, p = require_count("n", n), require_count("p", p)
+    require_unit_interval("beta", beta)
+    require_unit_interval("eps", eps)
+    require_positive("sigma2", sigma2)
     require_admissible(order, beta)
     mu1_sq = math.log(4.0 * p) / (n * beta * sigma2 * (1.0 - eps)) \
         * (order.lam + 8.0 * math.sqrt(1.0 - eps ** 2)) / 4.0
@@ -144,10 +139,8 @@ def fixed_design_mu1(n: int, p: int, sigma2: float) -> float:
 
     Same per-sample normalization as ``min_coefficients``.
     """
-    if n < 1 or p < 1:
-        raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    n, p = require_count("n", n), require_count("p", p)
+    require_positive("sigma2", sigma2)
     return math.sqrt(2.0 * math.log(4.0 * p) / (n * sigma2))
 
 
@@ -166,8 +159,7 @@ def grid_codelength(z: np.ndarray, p: int, beta: float) -> float:
     ``beta`` may be 1 (plain prefix codelength) or in (0, 1) (the
     beta-stronger variant divides the base codelength by beta).
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = require_count("p", p)
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     z = np.asarray(z)
@@ -191,8 +183,7 @@ def kraft_sum(p: int) -> float:
     which is <= 1 for every p >= 1, so the grid codelength is a valid
     (beta-stronger) prefix codelength.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = require_count("p", p)
     return 0.5 * math.exp(p * math.log1p(2.0 / (4.0 * p - 1.0)))
 
 
@@ -204,8 +195,7 @@ class QuantizerSpec:
     w_star: np.ndarray
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        require_positive("delta", self.delta)
         w = np.asarray(self.w_star, dtype=np.float64).reshape(-1)
         if not np.all(w > 0.0):
             raise ValueError("w_star entries must be strictly positive")

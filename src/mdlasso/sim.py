@@ -24,11 +24,12 @@ import numpy as np
 
 from .bounds import BoundConfig, RegretCertificate, regret_certificate
 from .divergences import bhattacharyya, hellinger_sq
+from .errors import require_count, require_positive
 from .lasso import LassoProblem, SolveReport, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
 from .penalty import PenaltyCoefficients, min_coefficients
 from .pool import map_indices
-from .seeding import substream
+from .seeding import require_id, substream
 from .typical_set import is_typical
 
 DEFAULT_SPARSITY = 10
@@ -82,36 +83,25 @@ class ExperimentConfig:
     _coeffs: PenaltyCoefficients = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("n", "p", "seed", "num_trials", "sparsity"):
-            value = getattr(self, name)
-            if value is not None:  # a float would be truncated or fail later
-                object.__setattr__(self, name, operator.index(value))
-        if self.n < 1 or self.p < 1:
-            raise ValueError(f"n and p must be >= 1, got n={self.n}, p={self.p}")
-        if not 0 <= self.seed < 2 ** 64:
-            # substream masks a seed to 64 bits: a wider one would repeat one
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.num_trials < 1:
-            raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
+        for name, rule in (("n", require_count), ("p", require_count),
+                           ("seed", require_id), ("num_trials", require_count)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
         if self.snr is None and self.sigma2 is None:
             raise ValueError("one of snr and sigma2 must be given")
         if self.snr is not None and self.sigma2 is not None:
             raise ValueError("give snr or sigma2, not both")
-        if self.snr is not None and not self.snr > 0.0:
-            raise ValueError(f"snr must be positive, got {self.snr}")
-        if self.sigma2 is not None and not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        given = "snr" if self.sigma2 is None else "sigma2"
+        value = require_positive(given, getattr(self, given))
         bc = BoundConfig(DivergenceOrder(self.lam), self.beta, self.eps, self.tau)
-        if self.sparsity is None:
-            object.__setattr__(self, "sparsity", min(DEFAULT_SPARSITY, self.p))
+        object.__setattr__(self, "sparsity", min(DEFAULT_SPARSITY, self.p)
+                           if self.sparsity is None
+                           else operator.index(self.sparsity))
         theta = default_theta_star(self.p, self.sparsity, self.magnitude)
         theta.setflags(write=False)
         with np.errstate(over="ignore"):  # an infinite energy is refused below
             energy = float(theta @ theta)
-        if self.sigma2 is None:
-            sigma2, snr = energy / self.snr, float(self.snr)
-        else:
-            sigma2, snr = float(self.sigma2), energy / self.sigma2
+        sigma2, snr = ((energy / value, value) if given == "snr"
+                       else (value, energy / value))
         if not (0.0 < sigma2 < math.inf and 0.0 < snr < math.inf):
             raise ValueError(f"sigma2={sigma2} and snr={snr} must both be "
                              f"finite and positive")

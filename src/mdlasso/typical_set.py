@@ -22,11 +22,12 @@ simplification of D/n on all of (0, 1].
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .errors import require_count, require_unit_interval
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,7 @@ def sanov_exponent(n: int, eps: float) -> float:
     The lower tail's exponent (n/2)(-eps - log(1 - eps)) dominates it for
     every eps in (0, 1), so 2 e^{-D} bounds both tails together.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = require_count("n", n)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     return (n / 2.0) * (eps - math.log1p(eps))
@@ -96,11 +95,8 @@ def sanov_exponent(n: int, eps: float) -> float:
 
 def prob_lower_bounds(n: int, p: int, eps: float) -> ProbBoundTriple:
     """The chained typical-set probability lower bounds at (n, p, eps)."""
-    n, p = operator.index(n), operator.index(p)
-    if n < 1 or p < 1:
-        raise ValueError(f"n and p must be >= 1, got n={n}, p={p}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    n, p = require_count("n", n), require_count("p", p)
+    require_unit_interval("eps", eps)
     tail = 2.0 * math.exp(-sanov_exponent(n, eps))
     vacuous = tail >= 1.0
     log_exact = -math.inf if vacuous else p * math.log1p(-tail)

@@ -252,6 +252,18 @@ class TestRiskBoundRhs:
                 risk_bound_rhs(model, cfg, lambda rng: None, num_mc=num_mc,
                                seed=0)
 
+    # masked to 64 bits, 2**64 + 5 drew seed 5's problems
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64 + 5])
+    def test_rejects_a_seed_outside_64_bits_before_drawing(self, seed):
+        def no_draw(rng):
+            raise AssertionError("drew before validating the seed")
+
+        model = GaussianLinearModel(np.zeros(2), 1.0)
+        cfg = BoundConfig(DivergenceOrder(0.5), 0.5, 0.5, 0.03)
+        with pytest.raises(ValueError) as caught:
+            risk_bound_rhs(model, cfg, no_draw, num_mc=100, seed=seed)
+        assert str(caught.value) == f"seed must lie in [0, 2**64), got {seed}"
+
     def test_rejects_a_vacuous_typical_set_bound(self):
         cfg = ExperimentConfig(n=10, p=2, seed=3, snr=1.0, eps=0.5,
                                sparsity=1)

@@ -310,8 +310,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("noise, cause", [
         pytest.param(noise, cause, id=noise) for noise, cause in [
-        ("snr = inf", "must both be finite and positive"),
-        ("sigma2 = inf", "must both be finite and positive"),
+        ("snr = inf", "snr must be positive and finite, got inf"),
+        ("sigma2 = inf", "sigma2 must be positive and finite, got inf"),
         ("snr = 1e-320", "must both be finite and positive"),
         ("sigma2 = 1e-320", "must both be finite and positive"),
         ("snr = 1\nmagnitude = nan", "magnitude must be finite"),
@@ -323,10 +323,10 @@ class TestSubcommands:
                            "mu1^2 = 0.0"),
         # one value out of its own range per key; each config object's
         # message names the key and the value
-        ("snr = 1\nn = 0", "got n=0,"),
-        ("snr = 1\np = 0", "p=0"),
-        ("snr = 0", "snr must be positive, got 0.0"),
-        ("sigma2 = -1", "sigma2 must be positive, got -1.0"),
+        ("snr = 1\nn = 0", "n must be >= 1, got 0"),
+        ("snr = 1\np = 0", "p must be >= 1, got 0"),
+        ("snr = 0", "snr must be positive and finite, got 0.0"),
+        ("sigma2 = -1", "sigma2 must be positive and finite, got -1.0"),
         ("snr = 1\nnum_trials = 0", "num_trials must be >= 1, got 0"),
         ("snr = 1\nlambda = 1", "lambda must lie in (0, 1), got 1.0"),
         ("snr = 1\nbeta = 1.5", "beta must lie in (0, 1), got 1.5"),
@@ -334,7 +334,7 @@ class TestSubcommands:
         ("snr = 1\ntau = -1", "tau must be positive and finite, got -1.0"),
         ("snr = 1\nsparsity = 0", "sparsity must lie in [1, 5], got 0"),
         ("snr = 1\nmagnitude = 0", "magnitude must be finite and non-zero"),
-        # substream keeps a seed's low 64 bits, so a wider one would repeat
+        # substream refuses these seeds too, with the same message
         ("snr = 1\nseed = -1", "seed must lie in [0, 2**64), got -1"),
         (f"snr = 1\nseed = {2 ** 64}", "seed must lie in [0, 2**64), got "
                                         f"{2 ** 64}")]])

@@ -130,6 +130,19 @@ class TestRenyiMc:
         with pytest.raises(AssertionError, match="drew"):
             renyi_mc(m, np.ones(2), DivergenceOrder(0.5), 1000, seed=0)
 
+    # masked to 64 bits, 2**64 + 5 drew seed 5's sample
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64 + 5])
+    def test_rejects_a_seed_outside_64_bits_before_drawing(self, monkeypatch,
+                                                           seed):
+        def no_draw(seed, chunk):
+            raise AssertionError("drew before validating the seed")
+
+        monkeypatch.setattr(dv, "chunk_stream", no_draw)
+        m = GaussianLinearModel(np.zeros(2), 1.0, None)
+        with pytest.raises(ValueError) as caught:
+            renyi_mc(m, np.ones(2), DivergenceOrder(0.5), 1000, seed=seed)
+        assert str(caught.value) == f"seed must lie in [0, 2**64), got {seed}"
+
     def test_large_displacement_no_overflow(self):
         m = GaussianLinearModel(np.zeros(1), 1.0, np.eye(1))
         est = renyi_mc(m, np.array([1e4]), DivergenceOrder(0.5), 2000, seed=5)

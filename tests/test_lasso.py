@@ -127,6 +127,14 @@ class TestProblemConstruction:
             LassoProblem(np.eye(3), np.ones(3), sigma2,
                          PenaltyCoefficients(0.1, 0.01))
 
+    def test_rejects_a_design_without_rows(self):
+        # its column mean squares were 0 / 0: a RuntimeWarning, then an
+        # error naming column 0 as non-finite
+        with pytest.raises(ValueError) as caught:
+            LassoProblem(np.empty((0, 3)), np.empty(0), 1.0,
+                         PenaltyCoefficients(1.0, 1.0))
+        assert str(caught.value) == "design matrix rows must be >= 1, got 0"
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LassoProblem(np.ones((3, 2)), np.zeros(4), 1.0,
@@ -274,8 +282,9 @@ class TestSolve:
 
     def test_rejects_bad_tol(self):
         prob = scalar_problem()
-        with pytest.raises(ValueError):
-            solve(prob, tol=0.0)
+        for tol in (0.0, math.inf):  # an infinite tol certified any point
+            with pytest.raises(ValueError):
+                solve(prob, tol=tol)
 
     @pytest.mark.parametrize("max_iter,error",
                              [(2.5, TypeError), (0, ValueError)])

@@ -130,6 +130,14 @@ class TestModelConstruction:
         np.testing.assert_array_equal(
             Y, want @ m.theta_star + np.sqrt(0.5) * plain.standard_normal(n))
 
+    # n = -1 drew an empty design
+    @pytest.mark.parametrize("n, error", [(-1, ValueError), (0, ValueError),
+                                          (2.0, TypeError)])
+    def test_draw_refuses_a_bad_row_count(self, n, error):
+        m = GaussianLinearModel(np.ones(3), 1.0)
+        with pytest.raises(error):
+            m.draw_features(np.random.default_rng(0), n)
+
 
 class TestIdentityCovariance:
     def test_non_symmetric_still_rejected(self):

@@ -157,9 +157,30 @@ class TestFixedDesignMu1:
         with pytest.raises(ValueError):
             fixed_design_mu1(10, 0, 1.0)
 
+    # sigma2 = inf returned mu1 = 0.0
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_sigma2_not_positive_and_finite(self, sigma2):
+        with pytest.raises(ValueError) as caught:
+            fixed_design_mu1(200, 1000, sigma2)
+        assert str(caught.value) == (f"sigma2 must be positive and finite, "
+                                     f"got {sigma2}")
+
     def test_noise_scaling(self):
         base = fixed_design_mu1(100, 37, 1.0)
         assert fixed_design_mu1(100, 37, 4.0) == pytest.approx(base / 2.0)
+
+
+# each returned a number: kraft_sum(2.5) was 0.826
+@pytest.mark.parametrize("call", [
+    lambda: fixed_design_mu1(200.0, 1000, 1.0),
+    lambda: fixed_design_mu1(200, 1000.5, 1.0),
+    lambda: grid_codelength(np.array([1, -1]), 1000.0, 0.5),
+    lambda: kraft_sum(2.5)],
+    ids=["fixed_design_mu1_n", "fixed_design_mu1_p", "grid_codelength",
+         "kraft_sum"])
+def test_rejects_a_float_size(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestDesignRatio:
@@ -248,6 +269,12 @@ class TestRandomizeQuantize:
         allowed = {round(0.7 * lo / 1.3, 12), round(0.7 * hi / 1.3, 12)}
         assert seen <= allowed and len(seen) == 2
 
+    # delta = inf rounded nothing: every component counted as on the grid
+    @pytest.mark.parametrize("delta", [0.0, math.inf])
+    def test_rejects_a_delta_not_positive_and_finite(self, delta):
+        with pytest.raises(ValueError):
+            self.spec(delta=delta)
+
     def test_dimension_mismatch(self):
         spec = self.spec()
         with pytest.raises(ValueError, match="mismatch"):
@@ -260,3 +287,6 @@ class TestPenaltyCoefficients:
             PenaltyCoefficients(0.0, 1.0)
         with pytest.raises(ValueError):
             PenaltyCoefficients(1.0, -1.0)
+        # an infinite mu1 made theta = 0 a "converged" solution
+        with pytest.raises(ValueError):
+            PenaltyCoefficients(math.inf, 1.0)
