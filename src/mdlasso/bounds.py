@@ -11,8 +11,9 @@ the single-sample Renyi divergence at the lasso solution is at most
     main_term = inf_theta { (||Y - X theta||^2 - ||Y - X theta_star||^2)
                             / (2 n sigma2) + mu1 ||theta||_{w,1} + mu2 }.
 
-The infimum is attained at the lasso solution itself, because the bracket
-differs from the solver objective only by a theta-independent constant.
+The infimum is attained at the exact lasso minimizer, because the bracket
+differs from the solver objective only by a theta-independent constant;
+the certificate takes the bracket at the solver's theta_hat instead.
 
 The risk-bound right-hand side replaces the realized main term by its
 conditional expectation over typical designs (estimated here by rejection
@@ -30,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (InsufficientAcceptanceError, InvalidCertificateError,
-                     require_count, require_positive, require_unit_interval)
+                     require_count, require_positive, require_unit_interval,
+                     require_vector)
 from .lasso import LassoProblem, objective, solve
 from .model import DivergenceOrder, GaussianLinearModel, renyi_div
 from .penalty import (PenaltyCoefficients, min_coefficients,
@@ -114,7 +116,7 @@ def regret_main_term(prob: LassoProblem, theta_star: np.ndarray,
     ||Y - X theta_star||^2 / (2 n sigma2) + mu2. The bound is stated for the
     bracket's infimum over theta; this value equals it only at the exact
     minimizer, and at a solver output exceeds it by the suboptimality."""
-    theta_star = np.asarray(theta_star, dtype=np.float64).reshape(-1)
+    theta_star = require_vector("theta_star", theta_star, prob.p)
     with np.errstate(over="ignore"):  # regret_certificate refuses an inf
         resid_star = prob.Y - prob.X @ theta_star
         baseline = float(resid_star @ resid_star) / (2.0 * prob.n * prob.sigma2)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import NumericalFailureError, require_count
+from .errors import NumericalFailureError, require_count, require_vector
 from .model import DivergenceOrder, GaussianLinearModel, displacement_energy, renyi_div
 from .pool import map_indices
 from .seeding import chunk_stream, require_id
@@ -104,13 +104,7 @@ def renyi_mc(model: GaussianLinearModel, theta: np.ndarray,
     """
     num_samples = require_count("num_samples", num_samples, 1000)
     seed = require_id("seed", seed)
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    p = model.dim
-    if theta.size != p:
-        raise ValueError(f"theta has length {theta.size}, expected {p}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    delta = theta - model.theta_star
+    delta = require_vector("theta", theta, model.dim) - model.theta_star
     t = float(delta @ (delta if model.cov is None else model.cov @ delta))
     sqrt_t = math.sqrt(t)
     lam = order.lam

@@ -3,6 +3,9 @@ rule for seeds and stream ids is ``seeding.require_id``)."""
 
 import math
 import operator
+from typing import Optional
+
+import numpy as np
 
 
 class MdlassoError(Exception):
@@ -53,3 +56,29 @@ def require_positive(name: str, value: float) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
+
+
+def require_vector(name: str, value, size: Optional[int] = None) -> np.ndarray:
+    """``value`` as a contiguous 1-D float64 array (a view of ``value`` when
+    it is one already) of ``size`` entries, or of at least one when ``size``
+    is None, each of them finite; else ``ValueError``."""
+    v = np.asarray(value, dtype=np.float64).ravel()
+    if (v.shape[0] != size) if size is not None else not v.shape[0]:
+        want = ">= 1" if size is None else size
+        raise ValueError(f"{name} must have length {want}, got {v.shape[0]}")
+    finite = np.isfinite(v)
+    if np.count_nonzero(finite) != v.shape[0]:  # ndarray.all takes longer
+        j = int(finite.argmin())
+        raise ValueError(f"{name} must be finite, got {v[j]} at index {j}")
+    return v
+
+
+def require_weights(name: str, value) -> np.ndarray:
+    """``require_vector``'s array, each of whose entries is also positive."""
+    w = require_vector(name, value)
+    positive = w > 0.0
+    if np.count_nonzero(positive) != w.shape[0]:
+        j = int(positive.argmin())
+        raise ValueError(f"{name} entries must be positive, got {w[j]} at "
+                         f"index {j}")
+    return w

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require_count, require_positive
+from .errors import (NumericalFailureError, require_count, require_positive,
+                     require_vector)
 from .penalty import PenaltyCoefficients, column_mean_squares, weighted_l1
 
 DEFAULT_TOL = 1e-6
@@ -74,13 +75,7 @@ class LassoProblem:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64).view()
         mean_sq = column_mean_squares(X)  # rejects a bad shape or column
-        Y = np.ascontiguousarray(self.Y, dtype=np.float64).reshape(-1)
-        if Y.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"Y has {Y.shape[0]} entries but X has {X.shape[0]} rows")
-        # here and in column_mean_squares ufunc reduces skip ndarray's wrappers
-        if not np.logical_and.reduce(np.isfinite(Y)):
-            raise ValueError("Y must be finite")
+        Y = require_vector("Y", self.Y, len(X))
         sigma2 = require_positive("sigma2", self.sigma2)
         for name, val in (("X", X), ("Y", Y), ("mean_sq", mean_sq),
                           ("w", np.sqrt(mean_sq))):
@@ -119,9 +114,7 @@ class SolveReport:
 def objective(prob: LassoProblem, theta: np.ndarray) -> float:
     """F(theta); the additive constant mu2 is excluded. At theta = 0 the
     fit ||Y||^2 / (2 n sigma2) is returned: the same bits, no product."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.shape[0] != prob.p:
-        raise ValueError(f"theta has {theta.shape[0]} entries, expected {prob.p}")
+    theta = require_vector("theta", theta, prob.p)
     with np.errstate(over="ignore"):  # an overflow returns inf, unwarned
         if not np.count_nonzero(theta):
             return float(prob.Y @ prob.Y) / (2.0 * prob.n * prob.sigma2)
@@ -157,9 +150,7 @@ def kkt_residual(prob: LassoProblem, theta: np.ndarray) -> float:
     For active coordinates, |g_j + mu1 w_j sign(theta_j)|; for zero
     coordinates, max(|g_j| - mu1 w_j, 0). Zero exactly at a minimizer.
     """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.shape[0] != prob.p:
-        raise ValueError(f"theta has {theta.shape[0]} entries, expected {prob.p}")
+    theta = require_vector("theta", theta, prob.p)
     g = -(prob.X.T @ (prob.Y - prob.X @ theta)) / (prob.n * prob.sigma2)
     return _kkt(theta, g, prob.coeffs.mu1 * prob.w, np.empty_like(g))
 
@@ -198,7 +189,10 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     gradient serves as the first iteration's.
     The reported ``kkt_residual`` is exact at ``theta_hat``, never the lower
     bound. Non-convergence within ``max_iter``, an integer >= 1, is reported
-    via the ``converged`` flag, not raised.
+    via the ``converged`` flag, not raised. The first exact residual that is
+    not finite, from an overflowing gradient or iterate (X^T Y overflows at
+    responses near the float64 maximum), raises ``NumericalFailureError``
+    naming its iteration.
     """
     require_positive("tol", tol)
     max_iter = require_count("max_iter", max_iter)  # a float is never met
@@ -218,8 +212,9 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
     trace, iterations = [], 0
     worst = 0  # the coordinate of the last vector bound's maximum
     # ||resid||^2 may overflow to inf (sigma2 near the float64 maximum); the
-    # trace then carries it, and regret_certificate refuses the main term
-    with np.errstate(over="ignore"):
+    # trace then carries it, and regret_certificate refuses the main term. A
+    # gradient summing inf - inf is NaN, and the exact residual refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             XTdot(resid, g)
             divide(g, neg_scale, g)  # -(X^T resid) / scale, to the bit
@@ -233,6 +228,10 @@ def solve(prob: LassoProblem, tol: float = DEFAULT_TOL,
                 kkt = work.item(worst)
             if not kkt > tol or iterations == max_iter:
                 kkt = _kkt(theta, g, kkt_level, work)
+                if not math.isfinite(kkt):
+                    raise NumericalFailureError(
+                        f"KKT residual is {kkt} at iteration {iterations}: "
+                        f"the gradient or the iterates overflowed")
             if iterations == max_iter:
                 break
             multiply(w, mag, work)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (InvalidOrderError, SingularMatrixError, require_count,
-                     require_positive)
+                     require_positive, require_vector)
 
 SYMMETRY_RTOL = 1e-12
 EIGENVALUE_CLAMP_RTOL = 1e-12
@@ -44,8 +44,7 @@ def check_symmetric(S: np.ndarray, name: str = "matrix") -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {S.shape}")
-    if not np.isfinite(S).all():
-        raise ValueError(f"{name} must be finite")
+    require_vector(name, S, S.size)  # names the first bad entry's flat index
     scale = float(np.max(np.abs(S))) if S.size else 0.0
     dev = float(np.max(np.abs(S - S.T))) if S.size else 0.0
     if dev > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -129,11 +128,7 @@ class GaussianLinearModel:
     sqrt_cov: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta_star, dtype=np.float64).reshape(-1)
-        if theta.size == 0:
-            raise ValueError("theta_star must be non-empty")
-        if not np.isfinite(theta).all():
-            raise ValueError("theta_star must be finite")
+        theta = require_vector("theta_star", self.theta_star)
         sigma2 = require_positive("sigma2", self.sigma2)
         cov = root = None
         if self.cov is not None:
@@ -178,10 +173,7 @@ def tilt_scale(model: GaussianLinearModel, order: DivergenceOrder) -> float:
 
 
 def _displacement(model: GaussianLinearModel, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.size != model.dim:
-        raise ValueError(f"theta has length {theta.size}, expected {model.dim}")
-    return theta - model.theta_star
+    return require_vector("theta", theta, model.dim) - model.theta_star
 
 
 def _times_cov(model: GaussianLinearModel, v: np.ndarray) -> np.ndarray:
@@ -197,7 +189,7 @@ def _cov_matrix(model: GaussianLinearModel) -> np.ndarray:
 def displacement_energy(model: GaussianLinearModel, theta: np.ndarray) -> float:
     """(theta - theta_star)^T cov (theta - theta_star), i.e. ||whitened displacement||^2."""
     tb = _displacement(model, theta)
-    return float(tb @ _times_cov(model, tb))
+    return float(tb.dot(_times_cov(model, tb)))
 
 
 def renyi_div(model: GaussianLinearModel, theta: np.ndarray,
@@ -215,7 +207,7 @@ def renyi_grad(model: GaussianLinearModel, theta: np.ndarray,
     c = tilt_scale(model, order)
     tb = _displacement(model, theta)
     u = _times_cov(model, tb)
-    t = float(tb @ u)
+    t = float(tb.dot(u))
     return (lam / model.sigma2) * (c / (c + t)) * u
 
 
@@ -230,7 +222,7 @@ def renyi_hess(model: GaussianLinearModel, theta: np.ndarray,
     c = tilt_scale(model, order)
     tb = _displacement(model, theta)
     u = _times_cov(model, tb)
-    t = float(tb @ u)
+    t = float(tb.dot(u))
     a = (lam / model.sigma2) * (c / (c + t))
     b = (2.0 * lam / model.sigma2) * (c / (c + t) ** 2)
     return a * _cov_matrix(model) - b * np.outer(u, u)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidOrderError, require_count, require_positive,
-                     require_unit_interval)
+                     require_unit_interval, require_vector, require_weights)
 from .model import DivergenceOrder
 from .seeding import substream
 
@@ -68,14 +68,8 @@ def column_mean_squares(X: np.ndarray) -> np.ndarray:
 
 def weighted_l1(theta: np.ndarray, w: np.ndarray) -> float:
     """Weighted l1 norm sum_j w_j |theta_j|."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if theta.shape != w.shape:
-        raise ValueError(
-            f"dimension mismatch: theta has {theta.size} entries, weights {w.size}")
-    if not np.all(w > 0.0):
-        raise ValueError("weights must be strictly positive")
-    return float(np.sum(w * np.abs(theta)))
+    w = require_weights("w", w)
+    return float(np.sum(w * np.abs(require_vector("theta", theta, w.size))))
 
 
 @dataclass(frozen=True)
@@ -196,10 +190,7 @@ class QuantizerSpec:
 
     def __post_init__(self):
         require_positive("delta", self.delta)
-        w = np.asarray(self.w_star, dtype=np.float64).reshape(-1)
-        if not np.all(w > 0.0):
-            raise ValueError("w_star entries must be strictly positive")
-        object.__setattr__(self, "w_star", w)
+        object.__setattr__(self, "w_star", require_weights("w_star", self.w_star))
 
 
 def randomize_quantize(theta: np.ndarray, spec: QuantizerSpec, seed: int) -> np.ndarray:
@@ -212,11 +203,8 @@ def randomize_quantize(theta: np.ndarray, spec: QuantizerSpec, seed: int) -> np.
     absolutely unbiased, and its per-component squared error is at most
     (delta / w_star_j) |theta_j| in expectation.
     """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     w = spec.w_star
-    if theta.shape != w.shape:
-        raise ValueError(
-            f"dimension mismatch: theta has {theta.size} entries, w_star {w.size}")
+    theta = require_vector("theta", theta, w.size)
     m = w * theta / spec.delta
     lo = np.floor(m)
     frac = m - lo

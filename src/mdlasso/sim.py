@@ -16,7 +16,6 @@ package's process pool, whose rules ``pool`` states.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +38,8 @@ DEFAULT_MAGNITUDE = 1.0
 def default_theta_star(p: int, sparsity: int = DEFAULT_SPARSITY,
                        magnitude: float = DEFAULT_MAGNITUDE) -> np.ndarray:
     """k-sparse coefficient vector: equal magnitudes on the first k coordinates."""
-    if not 1 <= sparsity <= p:
+    p, sparsity = require_count("p", p), require_count("sparsity", sparsity)
+    if sparsity > p:
         raise ValueError(f"sparsity must lie in [1, {p}], got {sparsity}")
     if magnitude == 0.0 or not math.isfinite(magnitude):
         raise ValueError(
@@ -93,9 +93,8 @@ class ExperimentConfig:
         given = "snr" if self.sigma2 is None else "sigma2"
         value = require_positive(given, getattr(self, given))
         bc = BoundConfig(DivergenceOrder(self.lam), self.beta, self.eps, self.tau)
-        object.__setattr__(self, "sparsity", min(DEFAULT_SPARSITY, self.p)
-                           if self.sparsity is None
-                           else operator.index(self.sparsity))
+        if self.sparsity is None:
+            object.__setattr__(self, "sparsity", min(DEFAULT_SPARSITY, self.p))
         theta = default_theta_star(self.p, self.sparsity, self.magnitude)
         theta.setflags(write=False)
         with np.errstate(over="ignore"):  # an infinite energy is refused below

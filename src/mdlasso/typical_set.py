@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import require_count, require_unit_interval
+from .errors import require_count, require_unit_interval, require_weights
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,11 @@ def is_typical(mean_sq: np.ndarray, cov: Optional[np.ndarray],
         raise ValueError(f"eps must be positive, got {eps}")
     ratio = mean_sq
     if cov is not None:
-        cov = np.asarray(cov, dtype=np.float64)
-        if cov.shape != (mean_sq.size, mean_sq.size):
+        if np.shape(cov) != (mean_sq.size, mean_sq.size):
             raise ValueError(
                 f"covariance must be {mean_sq.size}x{mean_sq.size} for "
-                f"{mean_sq.size} columns, got shape {cov.shape}")
-        diag = np.diag(cov)
-        if not np.all(diag > 0.0):
-            raise ValueError("covariance diagonal must be strictly positive")
-        ratio = mean_sq / diag
+                f"{mean_sq.size} columns, got shape {np.shape(cov)}")
+        ratio = mean_sq / require_weights("covariance diagonal", np.diag(cov))
     return bool(ratio.min(initial=np.inf) >= 1.0 - eps
                 and ratio.max(initial=-np.inf) <= 1.0 + eps)
 

@@ -332,7 +332,8 @@ class TestSubcommands:
         ("snr = 1\nbeta = 1.5", "beta must lie in (0, 1), got 1.5"),
         ("snr = 1\neps = 0", "eps must lie in (0, 1), got 0.0"),
         ("snr = 1\ntau = -1", "tau must be positive and finite, got -1.0"),
-        ("snr = 1\nsparsity = 0", "sparsity must lie in [1, 5], got 0"),
+        ("snr = 1\nsparsity = 0", "sparsity must be >= 1, got 0"),
+        ("snr = 1\nsparsity = 6", "sparsity must lie in [1, 5], got 6"),
         ("snr = 1\nmagnitude = 0", "magnitude must be finite and non-zero"),
         # substream refuses these seeds too, with the same message
         ("snr = 1\nseed = -1", "seed must lie in [0, 2**64), got -1"),

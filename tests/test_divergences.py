@@ -114,7 +114,7 @@ class TestRenyiMc:
         assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
     @pytest.mark.parametrize("theta, match", [
-        (np.zeros(3), "theta has length 3, expected 2"),
+        (np.zeros(3), "^theta must have length 2, got 3$"),
         (np.array([0.0, np.nan]), "finite"),
     ], ids=["wrong_length", "nan"])
     def test_rejects_bad_theta_before_drawing(self, monkeypatch, theta,

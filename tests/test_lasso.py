@@ -7,6 +7,7 @@ import pytest
 
 from mdlasso import lasso
 from mdlasso.bounds import regret_certificate
+from mdlasso.errors import NumericalFailureError
 from mdlasso.lasso import (LassoProblem, kkt_residual, objective,
                            soft_threshold, solve)
 from mdlasso.penalty import PenaltyCoefficients
@@ -285,6 +286,16 @@ class TestSolve:
         for tol in (0.0, math.inf):  # an infinite tol certified any point
             with pytest.raises(ValueError):
                 solve(prob, tol=tol)
+
+    def test_an_overflowing_gradient_is_a_numerical_failure(self):
+        # X^T Y sums inf - inf: solve warned "invalid value encountered in
+        # dot", ran all 10 000 iterations on NaN and returned theta = NaN
+        X = np.random.default_rng(0).standard_normal((20, 5))
+        prob = LassoProblem(X, np.full(20, 1e308), 1.0,
+                            PenaltyCoefficients(0.1, 0.01))
+        with pytest.raises(NumericalFailureError,
+                           match="^KKT residual is nan at iteration 1: "):
+            solve(prob)
 
     @pytest.mark.parametrize("max_iter,error",
                              [(2.5, TypeError), (0, ValueError)])

@@ -96,7 +96,7 @@ class TestWeightedL1:
             float(np.sum(np.abs(theta))))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="^theta must have length 2, got 3$"):
             weighted_l1(np.zeros(3), np.ones(2))
 
 
@@ -277,7 +277,7 @@ class TestRandomizeQuantize:
 
     def test_dimension_mismatch(self):
         spec = self.spec()
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="^theta must have length 3, got 2$"):
             randomize_quantize(np.zeros(2), spec, seed=0)
 
 

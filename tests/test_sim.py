@@ -41,6 +41,17 @@ class TestExperimentConfig:
         assert np.count_nonzero(theta) == 4
         np.testing.assert_allclose(theta[:4], 1.5)
 
+    # p = 0 read "sparsity must lie in [1, 0], got 10", p = 2.5 "[1, 2.5]",
+    # and a float sparsity failed in numpy's slicing
+    @pytest.mark.parametrize("args, error, match", [
+        ((0,), ValueError, "^p must be >= 1, got 0$"),
+        ((5, 0), ValueError, "^sparsity must be >= 1, got 0$"),
+        ((2.5,), TypeError, "cannot be interpreted as an integer"),
+        ((5, 2.0), TypeError, "cannot be interpreted as an integer")])
+    def test_default_theta_star_rejects_a_bad_size(self, args, error, match):
+        with pytest.raises(error, match=match):
+            default_theta_star(*args)
+
     def test_sigma2_from_snr(self):
         cfg = ExperimentConfig(n=10, p=20, seed=1, snr=2.0, sparsity=5)
         assert cfg.sigma2 == pytest.approx(5.0 / 2.0)
